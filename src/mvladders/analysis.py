@@ -586,7 +586,7 @@ class LoadSweep:
     """Bench rows across loads plus least-squares delay-vs-load diagnostics."""
 
     rows: tuple[BenchReport, ...]
-    fits: dict[str, tuple[float, float, float]]  # path -> (slope, intercept, r2)
+    fits: dict[str, tuple[float, float, float]]  # path -> (slope, intercept, r2); {} below two loads
 
     @property
     def loads_ff(self) -> tuple[float, ...]:
@@ -598,9 +598,13 @@ def sweep_load(
     model: TimingModel,
     loads_ff: Iterable[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
 ) -> LoadSweep:
+    """Bench at each load; the linear fits need at least two distinct loads
+    and are left empty otherwise."""
     rows = tuple(bench(design, model, cl) for cl in loads_ff)
     fits: dict[str, tuple[float, float, float]] = {}
     x = np.array([r.cl_ff for r in rows])
+    if len(set(x.tolist())) < 2:
+        return LoadSweep(rows=rows, fits=fits)
     for path in ("in_cout", "in_sum", "cin_cout", "cin_sum"):
         y = np.array([getattr(r.delays, path) for r in rows])
         slope, intercept = np.polyfit(x, y, 1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -108,10 +109,21 @@ def _worker_count() -> int:
     env = os.environ.get("MVL_SEED_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
-            pass
+            workers = 0
+        if workers < 1:
+            raise SpecError(f"MVL_SEED_THREADS must be an integer >= 1, got {env!r}")
+        return workers
     return min(4, os.cpu_count() or 1)
+
+
+def _check_loads(loads: Sequence[float]) -> None:
+    if not loads:
+        raise SpecError("--cl needs at least one load")
+    for cl in loads:
+        if not math.isfinite(cl) or cl < 0:
+            raise SpecError(f"--cl must be a finite load >= 0 fF, got {cl:g}")
 
 
 def _print_verify(report) -> ExitStatus:
@@ -136,6 +148,7 @@ def _cmd_verify(args) -> ExitStatus:
 
 
 def _cmd_bench(args) -> ExitStatus:
+    _check_loads([args.cl])
     design = parse_design_spec(args.design)
     report = verify_design(design)
     if not report.ok:
@@ -149,6 +162,7 @@ def _cmd_bench(args) -> ExitStatus:
 
 
 def _cmd_sweep(args) -> ExitStatus:
+    _check_loads(args.cl)
     design = parse_design_spec(args.design)
     report = verify_design(design)
     if not report.ok:
@@ -162,6 +176,8 @@ def _cmd_sweep(args) -> ExitStatus:
         print(row.csv_row())
     for path, (slope, intercept, r2) in sweep.fits.items():
         print(f"# fit {path}: slope={slope:.6e} s/fF intercept={intercept:.6e} s r2={r2:.4f}")
+    if not sweep.fits:
+        print("note: no delay-vs-load fit; it needs at least two distinct loads", file=sys.stderr)
     return ExitStatus.OK
 
 
@@ -180,6 +196,7 @@ def compare_cpa(cl_ff: float, out_dir: Path | None = None):
 
     Rows follow _COMPARE_CONFIGS order; checks is a list of (name, ok).
     """
+    workers = _worker_count()
     model = TimingModel.default()
     designs = [build_cpa(cfg) for cfg in _COMPARE_CONFIGS]
 
@@ -189,7 +206,7 @@ def compare_cpa(cl_ff: float, out_dir: Path | None = None):
             return report, None
         return report, bench(design, model, cl_ff)
 
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(job, designs))
     for report, row in results:
         if row is None:
@@ -278,6 +295,7 @@ def _write_dat(out_dir: Path, rows) -> None:
 
 
 def _cmd_compare(args) -> ExitStatus:
+    _check_loads([args.cl])
     try:
         rows, checks = compare_cpa(args.cl, Path(args.out))
     except NetlistError as exc:

@@ -8,13 +8,19 @@ whose gate or whole channel is unknown default to non-conducting, and the
 fixed point is capped so genuinely bistable topologies surface as
 non-convergence instead of a silent wrong answer.
 
-Two implementations share these semantics: a scalar solver used for traces
-and spot checks, and a numpy batch solver used for exhaustive verification.
+:func:`solve_dc` finds the fixed point for one vector with a union-find over
+the whole netlist; it serves traces and waveform stepping.
+:func:`solve_dc_batch` serves exhaustive verification: it splits the netlist
+into channel-connected regions, solves them in dependency order on the
+distinct local input tuples only, and solves rows with a conflict or no
+fixed point again over the whole netlist.  The tests check the two against
+each other vector by vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -128,7 +134,7 @@ def conduction_state(nl: "Netlist | CompiledNetlist", state: "DcState") -> tuple
 
 @dataclass
 class CompiledNetlist:
-    """Index-based view of a flat netlist, shared by both solver paths."""
+    """Index-based view of a flat netlist, shared by both solvers."""
 
     netlist: Netlist
     names: tuple[str, ...]
@@ -153,6 +159,12 @@ class CompiledNetlist:
     @property
     def iteration_cap(self) -> int:
         return 2 + 2 * self.n_devices
+
+    @cached_property
+    def ccr_plan(self) -> "_CcrPlan":
+        """Levelized channel-connected regions for :func:`solve_dc_batch`,
+        built on first use."""
+        return _build_plan(self)
 
 
 def compile_netlist(nl: Netlist) -> CompiledNetlist:
@@ -344,6 +356,260 @@ class BatchResult:
     iterations: int
 
 
+@dataclass(frozen=True, eq=False)
+class _Unit:
+    """Devices relaxed together over a value table whose first rows are the
+    unit's own nets and whose remaining rows, ``ext``, are held fixed."""
+
+    nets: np.ndarray        # own nets: non-source channel ends
+    ext: np.ndarray         # fixed nets: boundary sources and outside gates
+    keys: tuple[int, ...]   # the ext nets that vary by row (all but supplies)
+    g: np.ndarray           # device terminals as table rows
+    s: np.ndarray
+    d: np.ndarray
+    is_n: np.ndarray        # [D, 1]
+    vth: np.ndarray         # [D, 1]
+    slot_dev: np.ndarray    # device of each channel-end slot, slots sorted by table row
+    end_rows: np.ndarray    # distinct table rows that are channel ends
+    end_starts: np.ndarray  # first slot of each end row
+    cap: int
+
+
+@dataclass(frozen=True, eq=False)
+class _CcrPlan:
+    """Units in dependency order, plus the whole netlist as one unit."""
+
+    units: tuple[_Unit, ...]
+    whole: _Unit
+    keyed: frozenset[int]   # nets some unit takes as a key column
+
+
+def _make_unit(comp: CompiledNetlist, devices: Sequence[int], nets: Sequence[int]) -> _Unit:
+    devices = np.asarray(sorted(devices), dtype=np.intp)
+    own = sorted(nets)
+    g = np.asarray(comp.dev_g, dtype=np.intp)[devices]
+    s = np.asarray(comp.dev_s, dtype=np.intp)[devices]
+    d = np.asarray(comp.dev_d, dtype=np.intp)[devices]
+    ext = sorted(set(np.concatenate([g, s, d]).tolist()) - set(own))
+    row = {net: i for i, net in enumerate(own + ext)}
+    to_row = np.vectorize(row.__getitem__, otypes=[np.intp])
+    s_row, d_row = to_row(s), to_row(d)
+    ends = np.concatenate([s_row, d_row])
+    by_end = np.argsort(ends, kind="stable")
+    end_rows, end_starts = np.unique(ends[by_end], return_index=True)
+    return _Unit(
+        nets=np.asarray(own, dtype=np.intp),
+        ext=np.asarray(ext, dtype=np.intp),
+        keys=tuple(i for i in ext if i not in comp.supply_v),
+        g=to_row(g),
+        s=s_row,
+        d=d_row,
+        is_n=np.asarray(comp.dev_is_n)[devices][:, None],
+        vth=np.asarray(comp.dev_vth)[devices][:, None],
+        slot_dev=np.tile(np.arange(len(devices)), 2)[by_end],
+        end_rows=end_rows,
+        end_starts=end_starts,
+        cap=2 + 2 * len(devices),
+    )
+
+
+def _dependency_order(deps: Sequence[set[int]]) -> list[list[int]]:
+    """Strongly connected components of a dependency graph, each listed after
+    every component it depends on (iterative Tarjan)."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    out: list[list[int]] = []
+    for root in range(len(deps)):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(sorted(deps[root])))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(sorted(deps[w]))))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    scc = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        scc.append(w)
+                        if w == v:
+                            break
+                    out.append(scc)
+    return out
+
+
+def _build_plan(comp: CompiledNetlist) -> _CcrPlan:
+    """Partition into channel-connected regions (CCRs) and levelize them.
+
+    A CCR is a set of non-source nets joined by channels, bounded by the
+    supplies and inputs; a device with both channel ends on sources is a
+    CCR of its own.  CCRs that gate each other, directly or in a cycle,
+    form one unit.
+    """
+    sources = set(comp.supply_v) | set(comp.input_idx)
+    adjacent: dict[int, list[int]] = {}
+    for a, b in zip(comp.dev_s, comp.dev_d):
+        if a not in sources and b not in sources:
+            adjacent.setdefault(a, []).append(b)
+            adjacent.setdefault(b, []).append(a)
+        for net in (a, b):
+            if net not in sources:
+                adjacent.setdefault(net, [])
+    region: dict[int, int] = {}
+    region_nets: list[list[int]] = []
+    for net in sorted(adjacent):
+        if net in region:
+            continue
+        region[net] = len(region_nets)
+        members, todo = [], [net]
+        while todo:
+            a = todo.pop()
+            members.append(a)
+            for b in adjacent[a]:
+                if b not in region:
+                    region[b] = region[net]
+                    todo.append(b)
+        region_nets.append(members)
+    region_devs: list[list[int]] = [[] for _ in region_nets]
+    for j, (a, b) in enumerate(zip(comp.dev_s, comp.dev_d)):
+        if a in region or b in region:
+            region_devs[region[a if a in region else b]].append(j)
+        else:
+            region_nets.append([])
+            region_devs.append([j])
+    deps = [
+        {region[comp.dev_g[j]] for j in devs if comp.dev_g[j] in region}
+        for devs in region_devs
+    ]
+    units = tuple(
+        _make_unit(
+            comp,
+            [j for r in scc for j in region_devs[r]],
+            [net for r in scc for net in region_nets[r]],
+        )
+        for scc in _dependency_order(deps)
+    )
+    return _CcrPlan(
+        units=units,
+        whole=_make_unit(comp, range(comp.n_devices), list(region)),
+        keyed=frozenset(k for unit in units for k in unit.keys),
+    )
+
+
+def _components(
+    unit: _Unit, cond: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest and highest source voltage in each table row's component of
+    conducting channels (+inf/-inf where there is no source)."""
+    vmin, vmax = lo.copy(), hi.copy()
+    if not len(unit.slot_dev):
+        return vmin, vmax
+    on = cond[unit.slot_dev]
+    rows, starts = unit.end_rows, unit.end_starts
+    while True:
+        pair_lo = np.minimum(vmin[unit.s], vmin[unit.d])[unit.slot_dev]
+        pair_hi = np.maximum(vmax[unit.s], vmax[unit.d])[unit.slot_dev]
+        new_lo = np.minimum(
+            vmin[rows], np.minimum.reduceat(np.where(on, pair_lo, np.inf), starts, axis=0)
+        )
+        new_hi = np.maximum(
+            vmax[rows], np.maximum.reduceat(np.where(on, pair_hi, -np.inf), starts, axis=0)
+        )
+        if np.array_equal(new_lo, vmin[rows], equal_nan=True) and np.array_equal(
+            new_hi, vmax[rows], equal_nan=True
+        ):
+            return vmin, vmax
+        vmin[rows] = new_lo
+        vmax[rows] = new_hi
+
+
+def _relax(
+    unit: _Unit, fixed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Cold-start conduction fixed point of one unit, one column per row of
+    ``fixed`` (the values of ``unit.ext``).
+
+    Returns (values, driven, spread, conflict, nonconverged, sweeps):
+    values and driven over the unit's own nets; per row, ``spread`` marks a
+    component joining unequal source voltages and ``conflict`` one whose
+    voltages differ by more than _EPS.
+    """
+    n_own, n_rows = len(unit.nets), fixed.shape[1]
+    val = np.concatenate([np.full((n_own, n_rows), np.nan), fixed])
+    lo = np.concatenate([np.full((n_own, n_rows), np.inf), fixed])
+    hi = np.concatenate([np.full((n_own, n_rows), -np.inf), fixed])
+    cond = np.zeros((len(unit.g), n_rows), dtype=bool)
+    for sweep in range(1, unit.cap + 1):
+        vg, vs, vd = val[unit.g], val[unit.s], val[unit.d]
+        # NaN (unknown) terminals compare False: those devices stay off
+        new_cond = np.where(
+            unit.is_n, vg - np.fmin(vs, vd) > unit.vth, np.fmax(vs, vd) - vg > unit.vth
+        )
+        vmin, vmax = _components(unit, new_cond, lo, hi)
+        own_lo, own_hi = vmin[:n_own], vmax[:n_own]
+        new_val = np.where((own_lo <= own_hi) & (own_hi - own_lo <= _EPS), own_lo, np.nan)
+        old_val = val[:n_own]
+        same = (new_val == old_val) | (np.isnan(new_val) & np.isnan(old_val))
+        changed = (new_cond != cond).any(axis=0) | ~same.all(axis=0)
+        cond = new_cond
+        val[:n_own] = new_val
+        if not changed.any():
+            break
+    driven = vmin <= vmax
+    return (
+        val[:n_own],
+        driven[:n_own],
+        (vmax > vmin).any(axis=0),
+        (driven & (vmax - vmin > _EPS)).any(axis=0),
+        changed,
+        sweep,
+    )
+
+
+def _rank(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Class of each value (NaN is one class of its own) and the class count."""
+    uniq, inverse = np.unique(values, return_inverse=True)
+    return inverse, len(uniq)
+
+
+_CODE_LIMIT = 1 << 62
+
+
+def _distinct_rows(
+    columns: Sequence[tuple[np.ndarray, int]], n_rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """First row of each distinct tuple of ranked columns, and each row's
+    tuple.  Ranks combine in mixed radix, re-ranked before the code could
+    overflow int64."""
+    code = np.zeros(n_rows, dtype=np.int64)
+    span = 1
+    for rank, classes in columns:
+        if span * classes > _CODE_LIMIT:
+            code, span = _rank(code)
+        code = code * classes + rank
+        span *= classes
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 def solve_dc_batch(
     nl: Netlist | CompiledNetlist, inputs: Mapping[str, np.ndarray]
 ) -> BatchResult:
@@ -351,6 +617,15 @@ def solve_dc_batch(
 
     ``inputs`` maps each input net to a voltage column; all columns must
     share one length.  Semantics match :func:`solve_dc` vector by vector.
+
+    Units of channel-connected regions are solved in dependency order, each
+    only on the distinct tuples of its key columns (its outside gate nets and
+    boundary inputs), and scattered back to every row.  A row in which some
+    unit joins unequal source voltages or fails to converge is solved again
+    with the whole netlist as one unit: a short then poisons every net it
+    reaches through a shared supply, and ``nonconverged`` keeps the
+    whole-netlist meaning.  ``iterations`` is the largest sweep count of any
+    unit.
     """
     comp = _as_compiled(nl)
     input_names = {comp.names[i] for i in comp.input_idx}
@@ -363,90 +638,53 @@ def solve_dc_batch(
     if len(lengths) != 1:
         raise SolverError("batch input columns must share one length")
     (n_vec,) = lengths
-    n, n_dev = comp.n_nets, comp.n_devices
+    plan = comp.ccr_plan
 
     # Nets are rows so every per-net slice is contiguous.
-    source_mask = np.zeros((n, 1), dtype=bool)
-    sv = np.full((n, n_vec), np.nan)
+    val = np.full((comp.n_nets, n_vec), np.nan)
     for i, v in comp.supply_v.items():
-        source_mask[i, 0] = True
-        sv[i, :] = v
+        val[i] = v
     for name, col in columns.items():
-        i = comp.index[name]
-        source_mask[i, 0] = True
-        sv[i, :] = col
+        val[comp.index[name]] = col
+    driven = ~np.isnan(val)
 
-    val = np.where(source_mask, sv, np.nan)
-    cond = np.zeros((n_dev, n_vec), dtype=bool)
-    vth = np.asarray(comp.dev_vth)[:, None]
-    is_n = np.asarray(comp.dev_is_n)[:, None]
-    g_idx = np.asarray(comp.dev_g)
-    s_idx = np.asarray(comp.dev_s)
-    d_idx = np.asarray(comp.dev_d)
+    ranks: dict[int, tuple[np.ndarray, int]] = {}
+    redo = np.zeros(n_vec, dtype=bool)
+    iterations = 0
+    for unit in plan.units:
+        for net in unit.keys:
+            if net not in ranks:
+                ranks[net] = _rank(val[net])
+        first, inverse = _distinct_rows([ranks[net] for net in unit.keys], n_vec)
+        values, own_driven, spread, _, nonconv, sweeps = _relax(
+            unit, val[np.ix_(unit.ext, first)]
+        )
+        val[unit.nets] = values[:, inverse]
+        driven[unit.nets] = own_driven[:, inverse]
+        redo |= (spread | nonconv)[inverse]
+        iterations = max(iterations, sweeps)
+        for row, net in enumerate(unit.nets):
+            if net in plan.keyed:
+                rank, classes = _rank(values[row])
+                ranks[net] = rank[inverse], classes
 
-    # Device order forward then backward per relaxation pass: values propagate
-    # quickly along chains in either direction.
-    order = list(range(n_dev)) + list(range(n_dev - 1, -1, -1))
-
-    # Finite stand-in for +/-inf so monotone checksums detect the fixed point.
-    big = 1e9
-
-    nonconv = np.ones(n_vec, dtype=bool)
-    iterations = comp.iteration_cap
-    vmin = vmax = None
-    for sweep in range(1, comp.iteration_cap + 1):
-        vg = val[g_idx]
-        vs = val[s_idx]
-        vd = val[d_idx]
-        lo = np.fmin(vs, vd)
-        hi = np.fmax(vs, vd)
-        known = ~np.isnan(vg) & ~np.isnan(lo)
-        new_cond = np.where(is_n, vg - lo > vth, hi - vg > vth) & known
-        active = [j for j in order if new_cond[j].any()]
-
-        vmin = np.where(source_mask, sv, big)
-        vmax = np.where(source_mask, sv, -big)
-        checksum = None
-        for _ in range(n + 2):
-            for j in active:
-                m = new_cond[j]
-                a, b = s_idx[j], d_idx[j]
-                lo_ab = np.minimum(vmin[a], vmin[b])
-                hi_ab = np.maximum(vmax[a], vmax[b])
-                vmin[a] = np.where(m, lo_ab, vmin[a])
-                vmin[b] = np.where(m, lo_ab, vmin[b])
-                vmax[a] = np.where(m, hi_ab, vmax[a])
-                vmax[b] = np.where(m, hi_ab, vmax[b])
-            # vmin only ever decreases and vmax only increases, so the pair of
-            # sums is an exact fixed-point witness.
-            new_checksum = (float(vmin.sum()), float(vmax.sum()))
-            if new_checksum == checksum:
-                break
-            checksum = new_checksum
-
-        driven = vmin <= vmax
-        clean = driven & (vmax - vmin <= _EPS)
-        new_val = np.where(clean, vmin, np.nan)
-        new_val = np.where(source_mask, sv, new_val)
-
-        same_val = (new_val == val) | (np.isnan(new_val) & np.isnan(val))
-        changed_rows = (new_cond != cond).any(axis=0) | ~same_val.all(axis=0)
-        val = new_val
-        cond = new_cond
-        if not changed_rows.any():
-            nonconv = changed_rows
-            iterations = sweep
-            break
-        nonconv = changed_rows
-
-    driven = vmin <= vmax
-    conflict = (driven & (vmax - vmin > _EPS)).any(axis=0)
+    conflict = np.zeros(n_vec, dtype=bool)
+    nonconverged = np.zeros(n_vec, dtype=bool)
+    if redo.any():
+        rows = np.flatnonzero(redo)
+        whole = plan.whole
+        values, own_driven, _, conflict[rows], nonconverged[rows], sweeps = _relax(
+            whole, val[np.ix_(whole.ext, rows)]
+        )
+        val[np.ix_(whole.nets, rows)] = values
+        driven[np.ix_(whole.nets, rows)] = own_driven
+        iterations = max(iterations, sweeps)
     return BatchResult(
         names=comp.names,
         values=val.T,
         driven=driven.T,
         conflict=conflict,
-        nonconverged=nonconv,
+        nonconverged=nonconverged,
         iterations=iterations,
     )
 

@@ -63,6 +63,45 @@ def test_sweep_reports_fits():
     assert "r2=" in out
 
 
+@pytest.mark.parametrize("cl", ["-5", "nan", "inf"])
+def test_bench_rejects_bad_load(cl):
+    status, out, err = run_cli(["bench", "bfa1", "--cl", cl])
+    assert status == ExitStatus.BAD_REQUEST
+    assert out == ""
+    assert "--cl must be a finite load >= 0 fF" in err
+
+
+@pytest.mark.parametrize("cl", ["0.5,-1", "1,nan", "inf", ""])
+def test_sweep_rejects_bad_load(cl):
+    status, out, err = run_cli(["sweep", "bfa1", f"--cl={cl}"])
+    assert status == ExitStatus.BAD_REQUEST
+    assert out == ""
+    assert "--cl" in err
+
+
+@pytest.mark.parametrize("cl", ["1", "2,2"])
+def test_sweep_single_load_reports_no_fit(cl):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, out, err = run_cli(["sweep", "bfa1", "--cl", cl])
+    assert status == ExitStatus.OK
+    assert "# fit" not in out
+    assert out.count("BFA1_14T[full,0.9V],2,1,") == len(cl.split(","))
+    assert "at least two distinct loads" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_malformed_thread_count_rejected(monkeypatch, tmp_path, value):
+    monkeypatch.setenv("MVL_SEED_THREADS", value)
+    status, out, err = run_cli(["compare-cpa", "--out", str(tmp_path / "report")])
+    assert status == ExitStatus.BAD_REQUEST
+    assert out == ""
+    assert "MVL_SEED_THREADS" in err and repr(value) in err
+    assert not (tmp_path / "report").exists()
+
+
 def test_dump_roundtrip(tmp_path):
     status, out, _ = run_cli(["dump", "tfa2,swing=reduced"])
     assert status == ExitStatus.OK

@@ -98,7 +98,7 @@ def test_determinism_under_device_order():
         assert s1.floating == s2.floating
 
 
-def test_oscillating_topology_reports_nonconvergence():
+def _selfgate_fixture():
     # a pulldown gated by its own drain: pulling the node up turns the
     # pulldown on, which poisons the node, which turns it back off
     b = NetlistBuilder()
@@ -108,8 +108,12 @@ def test_oscillating_topology_reports_nonconvergence():
     b.add_output("y", 2)
     b.add_device(Polarity.P, 19, "gnd", "vdd", "y")
     b.add_device(Polarity.N, 19, "y", "gnd", "y")
+    return b.build("selfgate")
+
+
+def test_oscillating_topology_reports_nonconvergence():
     with pytest.raises(NonConvergenceError):
-        solve_dc(b.build("selfgate"), {"a": 0.0})
+        solve_dc(_selfgate_fixture(), {"a": 0.0})
 
 
 def test_step_waveforms_constant_inputs():
@@ -172,23 +176,148 @@ def test_warm_start_equivalence():
         assert final.voltage(name) == pytest.approx(volts)
 
 
-def test_batch_matches_scalar():
-    from mvladders.adders import AdderVariant, build_full_adder
+def _every_vector(maps):
+    """Columns holding every combination of each input's digit levels."""
+    names = sorted(maps)
+    rows = list(itertools.product(*(maps[n].levels for n in names)))
+    return {n: np.array([row[i] for row in rows]) for i, n in enumerate(names)}
 
-    fa = build_full_adder(AdderVariant.TFA2)
-    comp = compile_netlist(fa.netlist)
-    vmap = VoltageMap(0.9, 3)
-    vectors = list(itertools.product(range(3), range(3), (0, 1)))
-    columns = {
-        "A": np.array([vmap.volts(a) for a, _, _ in vectors]),
-        "B": np.array([vmap.volts(b) for _, b, _ in vectors]),
-        "Cin": np.array([0.9 * c for _, _, c in vectors]),
-    }
+
+def _assert_batch_matches_scalar(nl, columns):
+    """solve_dc_batch agrees with the scalar union-find solver on every net's
+    value, the driven/floating split, conflicts and non-convergence."""
+    comp = compile_netlist(nl)
     batch = solve_dc_batch(comp, columns)
+    for row in range(len(batch.conflict)):
+        inputs = {name: float(col[row]) for name, col in columns.items()}
+        try:
+            state = solve_dc(comp, inputs)
+        except NonConvergenceError:
+            assert batch.nonconverged[row], inputs
+            continue
+        assert not batch.nonconverged[row], inputs
+        assert batch.conflict[row] == bool(state.conflicts), inputs
+        for i, name in enumerate(comp.names):
+            want = state.voltage(name)
+            got = batch.values[row, i]
+            assert (np.isnan(got) if want is None else got == want), (inputs, name)
+            assert batch.driven[row, i] == (name not in state.floating), (inputs, name)
+    return batch
+
+
+def test_batch_matches_scalar(single_stage_designs):
+    for fa in single_stage_designs:
+        batch = _assert_batch_matches_scalar(fa.netlist, _every_vector(fa.input_maps()))
+        assert not batch.conflict.any() and not batch.nonconverged.any(), fa.label
+
+
+@pytest.mark.parametrize(
+    "variant, swing",
+    [("BFA1_14T", "full"), ("TFA2", "full"), ("QFA1", "reduced")],
+)
+def test_batch_matches_scalar_two_digit_cpa(variant, swing):
+    from mvladders.adders import AdderVariant, CpaConfig, build_cpa
+    from mvladders.logic import CarrySwing
+
+    cpa = build_cpa(CpaConfig(AdderVariant[variant], 2, CarrySwing(swing)))
+    assert len(compile_netlist(cpa.netlist).ccr_plan.units) > 2
+    _assert_batch_matches_scalar(cpa.netlist, _every_vector(cpa.input_maps()))
+
+
+def test_batch_conflict_fixture():
+    batch = _assert_batch_matches_scalar(_conflict_fixture(), {"a": np.array([0.0, 0.9])})
+    assert batch.conflict.all()
+
+
+def test_batch_selfgate_reports_nonconvergence():
+    batch = _assert_batch_matches_scalar(_selfgate_fixture(), {"a": np.array([0.0, 0.9])})
+    assert batch.nonconverged.all()
+
+
+def _shared_supply_fixture():
+    # two channel-connected regions that share vdd and gnd: an inverter y,
+    # and a node x held high by an always-on pullup that a=1 shorts to gnd
+    b = NetlistBuilder()
+    b.add_supply("vdd", 0.9)
+    b.add_supply("gnd", 0.0)
+    b.add_input("a", 2)
+    b.add_output("y", 2)
+    b.add_internal("x")
+    b.add_device(Polarity.P, 19, "a", "vdd", "y")
+    b.add_device(Polarity.N, 19, "a", "gnd", "y")
+    b.add_device(Polarity.P, 19, "gnd", "vdd", "x")
+    b.add_device(Polarity.N, 19, "a", "gnd", "x")
+    return b.build("sharedshort")
+
+
+def test_short_in_one_region_poisons_another_through_shared_supply():
+    nl = _shared_supply_fixture()
+    plan = compile_netlist(nl).ccr_plan
+    assert sorted(len(u.nets) for u in plan.units) == [1, 1]
+    batch = _assert_batch_matches_scalar(nl, {"a": np.array([0.0, 0.9, 0.9])})
+    y = batch.names.index("y")
+    # a=0: x and y are both high through vdd, with no short
+    assert batch.values[0, y] == pytest.approx(0.9)
+    assert not batch.conflict[0]
+    # a=1: the inverter alone would pull y to 0 V, but y joins gnd, which the
+    # short in x's region joins to vdd
+    assert batch.conflict[1:].all()
+    assert np.isnan(batch.values[1:, y]).all()
+    assert batch.driven[1:, y].all()
+
+
+def _floating_gate_fixture():
+    # an N pass device puts a onto f only when en is high and a is low (an
+    # ideal N switch cannot pass a high level onto an unknown node); f gates
+    # an inverter in a second region
+    b = NetlistBuilder()
+    b.add_supply("vdd", 0.9)
+    b.add_supply("gnd", 0.0)
+    b.add_input("a", 2)
+    b.add_input("en", 2)
+    b.add_output("y", 2)
+    b.add_internal("f")
+    b.add_device(Polarity.N, 19, "en", "a", "f")
+    b.add_device(Polarity.P, 19, "f", "vdd", "y")
+    b.add_device(Polarity.N, 19, "f", "gnd", "y")
+    return b.build("floatgate")
+
+
+def test_floating_upstream_net_gates_downstream_region():
+    nl = _floating_gate_fixture()
+    comp = compile_netlist(nl)
+    assert [[comp.names[i] for i in u.nets] for u in comp.ccr_plan.units] == [["f"], ["y"]]
+    rows = list(itertools.product((0.0, 0.9), repeat=2)) * 2
+    columns = {
+        "a": np.array([a for a, _ in rows]),
+        "en": np.array([en for _, en in rows]),
+    }
+    batch = _assert_batch_matches_scalar(nl, columns)
+    f, y = batch.names.index("f"), batch.names.index("y")
+    passing = (columns["en"] == 0.9) & (columns["a"] == 0.0)
+    assert (batch.values[passing, y] == 0.9).all()
+    assert np.isnan(batch.values[~passing, f]).all()
+    assert np.isnan(batch.values[~passing, y]).all()
+    assert not batch.driven[~passing, y].any()
     assert not batch.conflict.any()
-    assert not batch.nonconverged.any()
-    for row, (a, b, c) in enumerate(vectors):
-        state = solve_dc(comp, {"A": vmap.volts(a), "B": vmap.volts(b), "Cin": 0.9 * c})
-        for name in ("Sum", "Cout"):
-            got = batch.values[row, comp.index[name]]
-            assert got == pytest.approx(state.voltage(name))
+
+
+def test_batch_handles_zero_rows():
+    batch = solve_dc_batch(build(GateKind("Inverter")), {"a": np.array([])})
+    assert batch.values.shape == (0, len(batch.names))
+    assert not batch.conflict.any() and not batch.nonconverged.any()
+
+
+def test_ccr_plan_orders_dependencies_first():
+    from mvladders.adders import AdderVariant, CpaConfig, build_cpa
+    from mvladders.logic import CarrySwing
+
+    cpa = build_cpa(CpaConfig(AdderVariant.TFA2, 3, CarrySwing.REDUCED))
+    comp = compile_netlist(cpa.netlist)
+    sources = set(comp.supply_v) | set(comp.input_idx)
+    solved: set[int] = set()
+    for unit in comp.ccr_plan.units:
+        assert not solved & set(unit.nets)
+        assert all(k in solved or k in sources for k in unit.keys)
+        solved |= set(unit.nets.tolist())
+    assert solved == set(comp.ccr_plan.whole.nets.tolist())
