@@ -4,7 +4,6 @@ ternary and quaternary CNTFET full adders and carry-propagate adders."""
 from .device import CntfetSpec, Polarity, diameter_nm, threshold_voltage_v
 from .logic import (
     CarrySwing,
-    LogicLevel,
     VoltageMap,
     digits_to_value,
     full_adder_oracle,

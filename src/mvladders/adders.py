@@ -17,6 +17,7 @@ a full-swing gate signal allows the higher threshold, trading drive strength
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -117,6 +118,8 @@ def build_full_adder(
     vdd: float = 0.9,
 ) -> FullAdder:
     """Build one adder; raises on an illegal variant/swing/vdd combination."""
+    if not math.isfinite(vdd):
+        raise ValueError(f"vdd must be a finite voltage, got {vdd}")
     if carry_swing is None:
         carry_swing = CarrySwing.REDUCED if variant is AdderVariant.QFA1 else CarrySwing.FULL
     if variant is AdderVariant.QFA1 and carry_swing is not CarrySwing.REDUCED:
@@ -479,7 +482,6 @@ class CpaConfig:
     digits: int
     carry_swing: CarrySwing
     vdd: float = 0.9
-    load_ff: float = 2.0
 
     def __post_init__(self) -> None:
         if self.digits < 1:

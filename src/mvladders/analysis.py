@@ -31,7 +31,14 @@ import numpy as np
 from .adders import Cpa, FullAdder
 from .device import threshold_voltage_v
 from .netlist import Netlist, flatten
-from .solver import DcState, StepTrace, compile_netlist, CompiledNetlist, step_waveforms
+from .solver import (
+    CompiledNetlist,
+    DcState,
+    StepTrace,
+    compile_netlist,
+    step_waveforms,
+    step_windows,
+)
 
 __all__ = [
     "AnalysisError",
@@ -423,8 +430,9 @@ def worst_case_delays(
     caps = node_capacitance(comp, model, loads)
 
     best = {"in_cout": 0.0, "in_sum": 0.0, "cin_cout": 0.0, "cin_sum": 0.0}
-    for stepped, wave in _delay_windows(design):
-        trace = step_waveforms(comp, wave, maps)
+    windows = list(_delay_windows(design))
+    traces = step_windows(comp, [wave for _, wave in windows], maps)
+    for (stepped, _), trace in zip(windows, traces):
         for k in range(1, len(trace)):
             if stepped not in trace.stepped[k]:
                 continue

@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import enum
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Sequence
 
@@ -105,19 +103,6 @@ def parse_design_spec(spec: str) -> FullAdder | Cpa:
         raise SpecError(str(exc)) from None
 
 
-def _worker_count() -> int:
-    env = os.environ.get("MVL_SEED_THREADS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise SpecError(f"MVL_SEED_THREADS must be an integer >= 1, got {env!r}")
-        return workers
-    return min(4, os.cpu_count() or 1)
-
-
 def _check_loads(loads: Sequence[float]) -> None:
     if not loads:
         raise SpecError("--cl needs at least one load")
@@ -196,25 +181,17 @@ def compare_cpa(cl_ff: float, out_dir: Path | None = None):
 
     Rows follow _COMPARE_CONFIGS order; checks is a list of (name, ok).
     """
-    workers = _worker_count()
     model = TimingModel.default()
-    designs = [build_cpa(cfg) for cfg in _COMPARE_CONFIGS]
-
-    def job(design):
+    rows = []
+    for cfg in _COMPARE_CONFIGS:
+        design = build_cpa(cfg)
         report = verify_design(design)
         if not report.ok:
-            return report, None
-        return report, bench(design, model, cl_ff)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(job, designs))
-    for report, row in results:
-        if row is None:
             raise NetlistError(
                 f"verification failed for {report.design}: "
                 f"{report.failures} failures, {report.conflicts} conflicts"
             )
-    rows = [row for _, row in results]
+        rows.append(bench(design, model, cl_ff))
     by_label = {row.design: row for row in rows}
 
     bin09 = by_label["6xBFA1_14T[full,0.9V]"]

@@ -7,13 +7,13 @@ functions, so they stay deliberately free of any circuit knowledge.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = [
     "SUPPORTED_RADICES",
     "FULL_SWING_BAND",
-    "LogicLevel",
     "VoltageMap",
     "CarrySwing",
     "full_adder_oracle",
@@ -45,20 +45,6 @@ def check_digit(radix: int, digit: int) -> None:
 
 
 @dataclass(frozen=True)
-class LogicLevel:
-    """A digit together with the radix it belongs to."""
-
-    radix: int
-    digit: int
-
-    def __post_init__(self) -> None:
-        check_digit(self.radix, self.digit)
-
-    def voltage(self, vdd: float) -> float:
-        return VoltageMap(vdd, self.radix).volts(self.digit)
-
-
-@dataclass(frozen=True)
 class VoltageMap:
     """Canonical digit <-> voltage map: level k sits at k*vdd/(radix-1)."""
 
@@ -67,8 +53,8 @@ class VoltageMap:
 
     def __post_init__(self) -> None:
         check_radix(self.radix)
-        if self.vdd <= 0:
-            raise ValueError(f"vdd must be positive, got {self.vdd}")
+        if not math.isfinite(self.vdd) or self.vdd <= 0:
+            raise ValueError(f"vdd must be positive and finite, got {self.vdd}")
 
     @property
     def levels(self) -> tuple[float, ...]:

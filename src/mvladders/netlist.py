@@ -266,36 +266,6 @@ class NetlistBuilder:
                 raise NetlistError(f"instance {name!r} binds port {port!r} to undefined net {net!r}")
         self._instances.append(Instance(subckt, name, tuple(sorted(bindings.items()))))
 
-    def embed(self, sub: Netlist, prefix: str, bindings: dict[str, str]) -> None:
-        """Statically copy a flat netlist into this builder.
-
-        Ports map through ``bindings`` (to existing nets here), supplies merge
-        by name, and internal nets get ``prefix_``-mangled fresh names.
-        """
-        if not sub.is_flat:
-            raise NetlistError(f"cannot embed non-flat netlist {sub.name!r}")
-        missing = [p for p in sub.ports if p not in bindings]
-        if missing:
-            raise NetlistError(f"embed of {sub.name!r} missing bindings for ports {missing}")
-        unknown = [p for p in bindings if p not in sub.ports]
-        if unknown:
-            raise NetlistError(f"embed of {sub.name!r} binds unknown ports {unknown}")
-        mapping: dict[str, str] = {}
-        for net in sub.nets.values():
-            if net.role is NetRole.SUPPLY:
-                mapping[net.name] = self.add_supply(net.name, net.voltage)
-            elif net.name in bindings:
-                target = bindings[net.name]
-                if target not in self._nets:
-                    raise NetlistError(f"embed binding target {target!r} is not a net here")
-                mapping[net.name] = target
-            else:
-                mapping[net.name] = self.fresh(f"{prefix}_{net.name}")
-        for dev in sub.devices:
-            self._devices.append(
-                replace(dev, gate=mapping[dev.gate], source=mapping[dev.source], drain=mapping[dev.drain])
-            )
-
     def build(self, name: str, ports: list[str] | None = None) -> Netlist:
         if not _IDENT_RE.match(name):
             raise NetlistError(f"invalid netlist identifier {name!r}")

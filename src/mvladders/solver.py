@@ -8,20 +8,23 @@ whose gate or whole channel is unknown default to non-conducting, and the
 fixed point is capped so genuinely bistable topologies surface as
 non-convergence instead of a silent wrong answer.
 
-:func:`solve_dc` finds the fixed point for one vector with a union-find over
-the whole netlist; it serves traces and waveform stepping.
-:func:`solve_dc_batch` serves exhaustive verification: it splits the netlist
-into channel-connected regions, solves them in dependency order on the
-distinct local input tuples only, and solves rows with a conflict or no
-fixed point again over the whole netlist.  The tests check the two against
-each other vector by vector.
+There is one engine.  :func:`solve_dc_batch` splits the netlist into
+channel-connected regions, solves them in dependency order on the distinct
+local input tuples only, and solves rows with a conflict or no fixed point
+again over the whole netlist.  :func:`solve_dc` is its one-row case, and
+:func:`step_windows` and :func:`step_waveforms` solve every column of their
+waveforms in one call to it before applying charge retention step by step.
+The tests check the engine vector by vector against an independent
+union-find reference.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -36,13 +39,13 @@ __all__ = [
     "SolverError",
     "NonConvergenceError",
     "conducts",
-    "conduction_state",
     "compile_netlist",
     "CompiledNetlist",
     "solve_dc",
     "solve_dc_batch",
     "BatchResult",
     "step_waveforms",
+    "step_windows",
     "default_input_maps",
 ]
 
@@ -72,6 +75,8 @@ class DcState:
     ``voltages`` holds every net with a defined value, including retained
     values on floating nets during waveform stepping.  Nets in ``floating``
     have no driver; nets inside a conflict have no value at all.
+    ``iterations`` is the largest per-unit sweep count of the batch solve
+    that produced the state.
     """
 
     voltages: dict[str, float]
@@ -98,43 +103,10 @@ def conducts(device: Device, v_gate: float, v_a: float, v_b: float) -> bool:
     return max(v_a, v_b) - v_gate > vth
 
 
-def _conducts_partial(
-    is_n: bool, vth: float, vg: float | None, vs: float | None, vd: float | None
-) -> bool:
-    """Conduction with possibly-unknown terminals: unknowns bias to 'off'."""
-    if vg is None:
-        return False
-    known = [v for v in (vs, vd) if v is not None]
-    if not known:
-        return False
-    if is_n:
-        return vg - min(known) > vth
-    return max(known) - vg > vth
-
-
-def conduction_state(nl: "Netlist | CompiledNetlist", state: "DcState") -> tuple[bool, ...]:
-    """Which devices conduct under a solved state.  Floating nets count as
-    unknown even when they carry a retained voltage, matching the solver."""
-    comp = _as_compiled(nl)
-    val = [
-        None if name in state.floating else state.voltages.get(name)
-        for name in comp.names
-    ]
-    return tuple(
-        _conducts_partial(
-            comp.dev_is_n[j],
-            comp.dev_vth[j],
-            val[comp.dev_g[j]],
-            val[comp.dev_s[j]],
-            val[comp.dev_d[j]],
-        )
-        for j in range(comp.n_devices)
-    )
-
-
 @dataclass
 class CompiledNetlist:
-    """Index-based view of a flat netlist, shared by both solvers."""
+    """Index-based view of a flat netlist, from which the solver builds its
+    channel-connected-region plan."""
 
     netlist: Netlist
     names: tuple[str, ...]
@@ -191,157 +163,8 @@ def _as_compiled(nl: Netlist | CompiledNetlist) -> CompiledNetlist:
     return nl if isinstance(nl, CompiledNetlist) else compile_netlist(nl)
 
 
-def _source_map(comp: CompiledNetlist, inputs: Mapping[str, float]) -> dict[int, float]:
-    input_names = {comp.names[i] for i in comp.input_idx}
-    unknown = set(inputs) - input_names
-    if unknown:
-        raise SolverError(f"assignments to non-input nets: {sorted(unknown)}")
-    missing = input_names - set(inputs)
-    if missing:
-        raise SolverError(f"unassigned input nets: {sorted(missing)}")
-    sources = dict(comp.supply_v)
-    for name, volts in inputs.items():
-        sources[comp.index[name]] = float(volts)
-    return sources
-
-
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-def _fixpoint(
-    comp: CompiledNetlist,
-    sources: dict[int, float],
-) -> tuple[list[float | None], list[bool], int, dict]:
-    """Monotone conduction fixed point from unknowns.
-
-    Returns (values, driven flags, sweeps, conflict roots).
-    """
-    n = comp.n_nets
-    val: list[float | None] = [None] * n
-    for i, v in sources.items():
-        val[i] = v
-    cond: list[bool] | None = None
-    for sweep in range(1, comp.iteration_cap + 1):
-        new_cond = [
-            _conducts_partial(
-                comp.dev_is_n[j],
-                comp.dev_vth[j],
-                val[comp.dev_g[j]],
-                val[comp.dev_s[j]],
-                val[comp.dev_d[j]],
-            )
-            for j in range(comp.n_devices)
-        ]
-        uf = _UnionFind(n)
-        for j, on in enumerate(new_cond):
-            if on:
-                uf.union(comp.dev_s[j], comp.dev_d[j])
-        comp_sources: dict[int, list[float]] = {}
-        for i, v in sources.items():
-            comp_sources.setdefault(uf.find(i), []).append(v)
-        root_voltage: dict[int, float | None] = {}
-        conflict_roots: dict[int, tuple[float, ...]] = {}
-        for root, volts in comp_sources.items():
-            distinct = _distinct(volts)
-            if len(distinct) == 1:
-                root_voltage[root] = distinct[0]
-            else:
-                root_voltage[root] = None
-                conflict_roots[root] = distinct
-        new_val: list[float | None] = [None] * n
-        new_driven = [False] * n
-        for i in range(n):
-            root = uf.find(i)
-            if root in root_voltage:
-                new_driven[i] = True
-                new_val[i] = root_voltage[root]
-        for i, v in sources.items():
-            new_val[i] = v
-        if new_cond == cond and new_val == val:
-            conflict_info = {
-                "roots": {
-                    root: (
-                        tuple(sorted(comp.names[i] for i in range(n) if uf.find(i) == root)),
-                        volts,
-                    )
-                    for root, volts in conflict_roots.items()
-                }
-            }
-            return new_val, new_driven, sweep, conflict_info
-        cond, val = new_cond, new_val
-    raise NonConvergenceError(
-        f"{comp.netlist.name!r} did not reach a conduction fixed point "
-        f"within {comp.iteration_cap} sweeps"
-    )
-
-
-def solve_dc(
-    nl: Netlist | CompiledNetlist,
-    inputs: Mapping[str, float],
-    *,
-    warm: Mapping[str, float] | None = None,
-) -> DcState:
-    """Solve one input vector to the conduction fixed point.
-
-    ``warm`` supplies charge retention: a net that ends up floating keeps
-    its previous voltage in the recorded state.  Retained charge is
-    bookkeeping only; it never gates a device (floating counts as unknown,
-    and unknown-terminal devices default to non-conducting), so the fixed
-    point always runs from the optimistic monotone start.
-    """
-    comp = _as_compiled(nl)
-    sources = _source_map(comp, inputs)
-    n = comp.n_nets
-    val, driven, sweeps, conflict_info = _fixpoint(comp, sources)
-
-    conflicts = tuple(
-        Conflict(nets=nets, voltages=volts)
-        for _, (nets, volts) in sorted(conflict_info["roots"].items())
-    )
-    floating = frozenset(
-        comp.names[i] for i in range(n) if not driven[i] and i not in sources
-    )
-    voltages = {comp.names[i]: val[i] for i in range(n) if val[i] is not None}
-    if warm:
-        for name in floating:
-            if name not in voltages and name in warm:
-                voltages[name] = warm[name]
-    return DcState(
-        voltages=voltages,
-        floating=floating,
-        conflicts=conflicts,
-        iterations=sweeps,
-    )
-
-
-def _distinct(volts: list[float]) -> tuple[float, ...]:
-    out: list[float] = []
-    for v in sorted(volts):
-        if not out or v - out[-1] > _EPS:
-            out.append(v)
-    return tuple(out)
-
-
 # --------------------------------------------------------------------------
-# batch solving (cold start), used for exhaustive verification
+# the engine: cold-start batch solving by channel-connected region
 
 
 @dataclass
@@ -391,9 +214,9 @@ def _make_unit(comp: CompiledNetlist, devices: Sequence[int], nets: Sequence[int
     s = np.asarray(comp.dev_s, dtype=np.intp)[devices]
     d = np.asarray(comp.dev_d, dtype=np.intp)[devices]
     ext = sorted(set(np.concatenate([g, s, d]).tolist()) - set(own))
-    row = {net: i for i, net in enumerate(own + ext)}
-    to_row = np.vectorize(row.__getitem__, otypes=[np.intp])
-    s_row, d_row = to_row(s), to_row(d)
+    to_row = np.zeros(comp.n_nets, dtype=np.intp)
+    to_row[own + ext] = np.arange(len(own) + len(ext))
+    s_row, d_row = to_row[s], to_row[d]
     ends = np.concatenate([s_row, d_row])
     by_end = np.argsort(ends, kind="stable")
     end_rows, end_starts = np.unique(ends[by_end], return_index=True)
@@ -401,7 +224,7 @@ def _make_unit(comp: CompiledNetlist, devices: Sequence[int], nets: Sequence[int
         nets=np.asarray(own, dtype=np.intp),
         ext=np.asarray(ext, dtype=np.intp),
         keys=tuple(i for i in ext if i not in comp.supply_v),
-        g=to_row(g),
+        g=to_row[g],
         s=s_row,
         d=d_row,
         is_n=np.asarray(comp.dev_is_n)[devices][:, None],
@@ -517,8 +340,9 @@ def _build_plan(comp: CompiledNetlist) -> _CcrPlan:
 def _components(
     unit: _Unit, cond: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest and highest source voltage in each table row's component of
-    conducting channels (+inf/-inf where there is no source)."""
+    """Lowest ``lo`` and highest ``hi`` over each table row's component of
+    conducting channels.  Given source voltages (+inf/-inf elsewhere), that
+    is the source voltage range each row is joined to."""
     vmin, vmax = lo.copy(), hi.copy()
     if not len(unit.slot_dev):
         return vmin, vmax
@@ -541,6 +365,15 @@ def _components(
         vmax[rows] = new_hi
 
 
+def _conduction(unit: _Unit, val: np.ndarray) -> np.ndarray:
+    """Which devices conduct, per column of the value table ``val``.  NaN
+    (unknown) terminals compare False: those devices stay off."""
+    vg, vs, vd = val[unit.g], val[unit.s], val[unit.d]
+    return np.where(
+        unit.is_n, vg - np.fmin(vs, vd) > unit.vth, np.fmax(vs, vd) - vg > unit.vth
+    )
+
+
 def _relax(
     unit: _Unit, fixed: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
@@ -558,11 +391,7 @@ def _relax(
     hi = np.concatenate([np.full((n_own, n_rows), -np.inf), fixed])
     cond = np.zeros((len(unit.g), n_rows), dtype=bool)
     for sweep in range(1, unit.cap + 1):
-        vg, vs, vd = val[unit.g], val[unit.s], val[unit.d]
-        # NaN (unknown) terminals compare False: those devices stay off
-        new_cond = np.where(
-            unit.is_n, vg - np.fmin(vs, vd) > unit.vth, np.fmax(vs, vd) - vg > unit.vth
-        )
+        new_cond = _conduction(unit, val)
         vmin, vmax = _components(unit, new_cond, lo, hi)
         own_lo, own_hi = vmin[:n_own], vmax[:n_own]
         new_val = np.where((own_lo <= own_hi) & (own_hi - own_lo <= _EPS), own_lo, np.nan)
@@ -616,7 +445,9 @@ def solve_dc_batch(
     """Cold-start solve of many input vectors at once.
 
     ``inputs`` maps each input net to a voltage column; all columns must
-    share one length.  Semantics match :func:`solve_dc` vector by vector.
+    share one length, and a netlist without inputs is one row.  This is the
+    library's only switch-level solver: :func:`solve_dc` and the stepping
+    functions call it.
 
     Units of channel-connected regions are solved in dependency order, each
     only on the distinct tuples of its key columns (its outside gate nets and
@@ -629,15 +460,18 @@ def solve_dc_batch(
     """
     comp = _as_compiled(nl)
     input_names = {comp.names[i] for i in comp.input_idx}
-    if set(inputs) != input_names:
-        raise SolverError(
-            f"batch inputs must assign exactly the input nets {sorted(input_names)}"
-        )
+    unknown = set(inputs) - input_names
+    if unknown:
+        raise SolverError(f"assignments to non-input nets: {sorted(unknown)}")
+    missing = input_names - set(inputs)
+    if missing:
+        raise SolverError(f"unassigned input nets: {sorted(missing)}")
     columns = {name: np.asarray(col, dtype=np.float64) for name, col in inputs.items()}
     lengths = {len(c) for c in columns.values()}
-    if len(lengths) != 1:
+    if len(lengths) > 1:
         raise SolverError("batch input columns must share one length")
-    (n_vec,) = lengths
+    # without inputs there is one vector to solve: the supplies alone
+    n_vec = lengths.pop() if lengths else 1
     plan = comp.ccr_plan
 
     # Nets are rows so every per-net slice is contiguous.
@@ -690,6 +524,113 @@ def solve_dc_batch(
 
 
 # --------------------------------------------------------------------------
+# solved states of single vectors
+
+
+def _distinct(volts: list[float]) -> tuple[float, ...]:
+    out: list[float] = []
+    for v in sorted(volts):
+        if not out or v - out[-1] > _EPS:
+            out.append(v)
+    return tuple(out)
+
+
+def _conflict_groups(
+    comp: CompiledNetlist, batch: BatchResult
+) -> dict[int, tuple[Conflict, ...]]:
+    """The conflicts of each batch row whose ``conflict`` flag is set.
+
+    The components come from the final values' conduction (at the fixed
+    point that is the last sweep's), labelled by their smallest net index;
+    conflicts are listed in label order with their nets sorted by name.
+    """
+    rows = np.flatnonzero(batch.conflict).tolist()
+    if not rows:
+        return {}
+    whole = comp.ccr_plan.whole
+    table = np.concatenate([whole.nets, whole.ext])
+    val = batch.values[np.ix_(rows, table)].T
+    label = np.repeat(table.astype(np.float64)[:, None], len(rows), axis=1)
+    root, _ = _components(whole, _conduction(whole, val), label, label)
+    sources = [
+        t for t, net in enumerate(table.tolist())
+        if net in comp.supply_v or net in comp.input_idx
+    ]
+    groups = {}
+    for col, row in enumerate(rows):
+        volts: dict[float, list[float]] = {}
+        for t in sources:
+            volts.setdefault(root[t, col], []).append(float(val[t, col]))
+        conflicts = []
+        for key in sorted(volts):
+            distinct = _distinct(volts[key])
+            if len(distinct) > 1:
+                members = table[root[:, col] == key].tolist()
+                conflicts.append(
+                    Conflict(nets=tuple(sorted(comp.names[i] for i in members)), voltages=distinct)
+                )
+        groups[row] = tuple(conflicts)
+    return groups
+
+
+def _dc_state(
+    comp: CompiledNetlist,
+    values: list[float],
+    driven: list[bool],
+    conflicts: tuple[Conflict, ...],
+    iterations: int,
+    warm: Mapping[str, float] | None,
+) -> DcState:
+    """One batch row as a :class:`DcState`; floating nets take their
+    ``warm`` voltage."""
+    voltages = {name: v for name, v in zip(comp.names, values) if not math.isnan(v)}
+    floating = frozenset(name for name, on in zip(comp.names, driven) if not on)
+    if warm:
+        for name, on in zip(comp.names, driven):
+            if not on and name in warm:
+                voltages[name] = warm[name]
+    return DcState(
+        voltages=voltages, floating=floating, conflicts=conflicts, iterations=iterations
+    )
+
+
+def _no_fixed_point(comp: CompiledNetlist) -> str:
+    return (
+        f"{comp.netlist.name!r} did not reach a conduction fixed point "
+        f"within {comp.iteration_cap} sweeps"
+    )
+
+
+def solve_dc(
+    nl: Netlist | CompiledNetlist,
+    inputs: Mapping[str, float],
+    *,
+    warm: Mapping[str, float] | None = None,
+) -> DcState:
+    """Solve one input vector to the conduction fixed point, as a one-row
+    :func:`solve_dc_batch`.
+
+    ``warm`` supplies charge retention: a net that ends up floating keeps
+    its previous voltage in the recorded state.  Retained charge is
+    bookkeeping only; it never gates a device (floating counts as unknown,
+    and unknown-terminal devices default to non-conducting), so the fixed
+    point always runs from the optimistic monotone start.
+    """
+    comp = _as_compiled(nl)
+    batch = solve_dc_batch(comp, {name: [volts] for name, volts in inputs.items()})
+    if batch.nonconverged[0]:
+        raise NonConvergenceError(_no_fixed_point(comp))
+    return _dc_state(
+        comp,
+        batch.values[0].tolist(),
+        batch.driven[0].tolist(),
+        _conflict_groups(comp, batch).get(0, ()),
+        batch.iterations,
+        warm,
+    )
+
+
+# --------------------------------------------------------------------------
 # quasi-static stepping
 
 
@@ -722,6 +663,88 @@ def default_input_maps(nl: Netlist) -> dict[str, VoltageMap]:
     return {n.name: VoltageMap(vdd, n.radix) for n in nl.inputs}
 
 
+def step_windows(
+    nl: Netlist | CompiledNetlist,
+    windows: Sequence[Mapping[str, Sequence[int]]],
+    maps: Mapping[str, VoltageMap] | None = None,
+    *,
+    dt: float = 1e-9,
+) -> Iterator[StepTrace]:
+    """Quasi-static stepping of several independent waveform windows.
+
+    Every column of every window is solved cold in one
+    :func:`solve_dc_batch` call; charge retention is then applied step by
+    step within each window.  That is exact because retained charge never
+    gates a device.  Each window's first column is its solved initial
+    vector, and each window's trace is built when the returned iterator
+    reaches it.
+    """
+    comp = _as_compiled(nl)
+    if maps is None:
+        maps = default_input_maps(comp.netlist)
+    input_names = [comp.names[i] for i in comp.input_idx]
+    columns: dict[str, list[float]] = {name: [] for name in input_names}
+    starts = [0]
+    for waveforms in windows:
+        missing = set(input_names) - set(waveforms)
+        if missing:
+            raise SolverError(f"waveforms missing for inputs: {sorted(missing)}")
+        lengths = {len(waveforms[name]) for name in input_names}
+        if len(lengths) != 1:
+            raise SolverError("waveform sequences must share one length")
+        (steps,) = lengths
+        if steps < 1:
+            raise SolverError("waveforms must contain at least one step")
+        for name in input_names:
+            columns[name].extend(maps[name].volts(level) for level in waveforms[name])
+        starts.append(starts[-1] + steps)
+
+    batch = solve_dc_batch(comp, columns)
+    stuck = np.flatnonzero(batch.nonconverged)
+    if len(stuck):
+        window = bisect.bisect_right(starts, stuck[0]) - 1
+        where = f"step {stuck[0] - starts[window]}"
+        if len(windows) > 1:
+            where = f"window {window}, {where}"
+        raise NonConvergenceError(f"{where}: {_no_fixed_point(comp)}")
+    conflicts = _conflict_groups(comp, batch)
+
+    def trace(window: int) -> StepTrace:
+        waveforms = windows[window]
+        rows = range(starts[window], starts[window + 1])
+        values = batch.values[rows.start:rows.stop].tolist()
+        driven = batch.driven[rows.start:rows.stop].tolist()
+        states: list[DcState] = []
+        changes: list[dict[str, tuple[float | None, float]]] = [{}]
+        stepped: list[frozenset[str]] = [frozenset()]
+        prev: dict[str, float] | None = None
+        for k, row in enumerate(rows):
+            state = _dc_state(
+                comp, values[k], driven[k], conflicts.get(row, ()), batch.iterations, prev
+            )
+            if k:
+                delta: dict[str, tuple[float | None, float]] = {}
+                for name, new in state.voltages.items():
+                    old = prev.get(name)
+                    if old is None or abs(new - old) > _EPS:
+                        delta[name] = (old, new)
+                changes.append(delta)
+                stepped.append(frozenset(
+                    n for n in input_names if waveforms[n][k] != waveforms[n][k - 1]
+                ))
+            states.append(state)
+            prev = state.voltages
+        return StepTrace(
+            netlist=comp.netlist,
+            times=tuple(k * dt for k in range(len(rows))),
+            states=tuple(states),
+            changes=tuple(changes),
+            stepped=tuple(stepped),
+        )
+
+    return (trace(window) for window in range(len(windows)))
+
+
 def step_waveforms(
     nl: Netlist | CompiledNetlist,
     waveforms: Mapping[str, Sequence[int]],
@@ -729,58 +752,7 @@ def step_waveforms(
     *,
     dt: float = 1e-9,
 ) -> StepTrace:
-    """Quasi-static stepping: solve each column with the previous solution
-    as warm start.  The first column is the solved initial vector."""
-    comp = _as_compiled(nl)
-    if maps is None:
-        maps = default_input_maps(comp.netlist)
-    input_names = [comp.names[i] for i in comp.input_idx]
-    missing = set(input_names) - set(waveforms)
-    if missing:
-        raise SolverError(f"waveforms missing for inputs: {sorted(missing)}")
-    lengths = {len(waveforms[name]) for name in input_names}
-    if len(lengths) != 1:
-        raise SolverError("waveform sequences must share one length")
-    (steps,) = lengths
-    if steps < 1:
-        raise SolverError("waveforms must contain at least one step")
-    for name in input_names:
-        vmap = maps[name]
-        for level in waveforms[name]:
-            vmap.volts(level)  # validates range
-
-    states: list[DcState] = []
-    changes: list[dict[str, tuple[float | None, float]]] = []
-    stepped: list[frozenset[str]] = []
-    prev_vals: dict[str, float] | None = None
-    prev_levels: dict[str, int] | None = None
-    for k in range(steps):
-        levels = {name: waveforms[name][k] for name in input_names}
-        inputs = {name: maps[name].volts(levels[name]) for name in input_names}
-        try:
-            state = solve_dc(comp, inputs, warm=prev_vals)
-        except NonConvergenceError as exc:
-            raise NonConvergenceError(f"step {k}: {exc}") from None
-        if k == 0:
-            changes.append({})
-            stepped.append(frozenset())
-        else:
-            delta: dict[str, tuple[float | None, float]] = {}
-            for name, new in state.voltages.items():
-                old = prev_vals.get(name)
-                if old is None or abs(new - old) > _EPS:
-                    delta[name] = (old, new)
-            changes.append(delta)
-            stepped.append(
-                frozenset(n for n in input_names if levels[n] != prev_levels[n])
-            )
-        states.append(state)
-        prev_vals = dict(state.voltages)
-        prev_levels = levels
-    return StepTrace(
-        netlist=comp.netlist,
-        times=tuple(k * dt for k in range(steps)),
-        states=tuple(states),
-        changes=tuple(changes),
-        stepped=tuple(stepped),
-    )
+    """Quasi-static stepping of one waveform window: :func:`step_windows`
+    with a single window.  The first column is the solved initial vector."""
+    (trace,) = step_windows(nl, [waveforms], maps, dt=dt)
+    return trace

@@ -89,6 +89,21 @@ def test_illegal_combinations_rejected():
         build_full_adder(AdderVariant.BFA1_14T, CarrySwing.FULL, vdd=0.6)
 
 
+@pytest.mark.parametrize("vdd", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_vdd_rejected(vdd):
+    from mvladders.logic import VoltageMap
+
+    builds = (
+        lambda: build_full_adder(AdderVariant.TFA2, vdd=vdd),
+        lambda: build_full_adder(AdderVariant.BFA1_14T, vdd=vdd),
+        lambda: build_cpa(CpaConfig(AdderVariant.QFA1, 2, CarrySwing.REDUCED, vdd)),
+        lambda: VoltageMap(vdd, 3),
+    )
+    for make in builds:
+        with pytest.raises(ValueError, match="vdd"):
+            make()
+
+
 def test_binary_swings_coincide():
     full = build_full_adder(AdderVariant.BFA1_14T, CarrySwing.FULL)
     reduced = build_full_adder(AdderVariant.BFA1_14T, CarrySwing.REDUCED)

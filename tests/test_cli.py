@@ -40,6 +40,15 @@ def test_verify_bad_spec_status():
     assert "QFA1" in err
 
 
+@pytest.mark.parametrize("spec", ["tfa2", "qfa1", "bfa1", "tfa2,digits=2"])
+@pytest.mark.parametrize("vdd", ["nan", "inf"])
+def test_verify_rejects_non_finite_vdd(spec, vdd):
+    status, out, err = run_cli(["verify", f"{spec},vdd={vdd}"])
+    assert status == ExitStatus.BAD_REQUEST
+    assert out == ""
+    assert "vdd must be a finite voltage" in err
+
+
 def test_bench_csv_and_label():
     status, out, _ = run_cli(["bench", "bfa2", "--cl", "2"])
     assert status == ExitStatus.OK
@@ -92,16 +101,6 @@ def test_sweep_single_load_reports_no_fit(cl):
     assert "at least two distinct loads" in err
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_malformed_thread_count_rejected(monkeypatch, tmp_path, value):
-    monkeypatch.setenv("MVL_SEED_THREADS", value)
-    status, out, err = run_cli(["compare-cpa", "--out", str(tmp_path / "report")])
-    assert status == ExitStatus.BAD_REQUEST
-    assert out == ""
-    assert "MVL_SEED_THREADS" in err and repr(value) in err
-    assert not (tmp_path / "report").exists()
-
-
 def test_dump_roundtrip(tmp_path):
     status, out, _ = run_cli(["dump", "tfa2,swing=reduced"])
     assert status == ExitStatus.OK
@@ -119,6 +118,14 @@ def test_run_inverter(tmp_path):
         "DEVICE P n=19 g=a s=vdd d=y\nDEVICE N n=19 g=a s=gnd d=y\n"
     )
     status, out, _ = run_cli(["run", str(f), "--inputs", "a=0"])
+    assert status == ExitStatus.OK
+    assert "y = 0.9 V (digit 1)" in out
+
+
+def test_run_netlist_without_inputs(tmp_path):
+    f = tmp_path / "tie.net"
+    f.write_text("SUPPLY vdd 0.9\nSUPPLY gnd 0\nOUTPUT y 2\nDEVICE P n=19 g=gnd s=vdd d=y\n")
+    status, out, _ = run_cli(["run", str(f)])
     assert status == ExitStatus.OK
     assert "y = 0.9 V (digit 1)" in out
 

@@ -9,6 +9,7 @@ from mvladders.gates import GateKind, build
 from mvladders.logic import VoltageMap
 from mvladders.netlist import Device, NetlistBuilder
 from mvladders.solver import (
+    Conflict,
     NonConvergenceError,
     SolverError,
     compile_netlist,
@@ -16,7 +17,9 @@ from mvladders.solver import (
     solve_dc,
     solve_dc_batch,
     step_waveforms,
+    step_windows,
 )
+from switch_reference import reference_solve, reference_step
 
 
 def _dev(pol, n):
@@ -98,15 +101,16 @@ def test_determinism_under_device_order():
         assert s1.floating == s2.floating
 
 
-def _selfgate_fixture():
+def _selfgate_fixture(pullup_gate="gnd"):
     # a pulldown gated by its own drain: pulling the node up turns the
-    # pulldown on, which poisons the node, which turns it back off
+    # pulldown on, which poisons the node, which turns it back off; with
+    # pullup_gate="a" that happens only while a is low
     b = NetlistBuilder()
     b.add_supply("vdd", 0.9)
     b.add_supply("gnd", 0.0)
     b.add_input("a", 2)
     b.add_output("y", 2)
-    b.add_device(Polarity.P, 19, "gnd", "vdd", "y")
+    b.add_device(Polarity.P, 19, pullup_gate, "vdd", "y")
     b.add_device(Polarity.N, 19, "y", "gnd", "y")
     return b.build("selfgate")
 
@@ -184,19 +188,24 @@ def _every_vector(maps):
 
 
 def _assert_batch_matches_scalar(nl, columns):
-    """solve_dc_batch agrees with the scalar union-find solver on every net's
-    value, the driven/floating split, conflicts and non-convergence."""
+    """solve_dc_batch agrees with the union-find reference on every net's
+    value, the driven/floating split, conflicts and non-convergence.  Rows
+    with a conflict or no fixed point also go through solve_dc, whose
+    conflict groups (nets and voltages) or NonConvergenceError must match."""
     comp = compile_netlist(nl)
     batch = solve_dc_batch(comp, columns)
     for row in range(len(batch.conflict)):
         inputs = {name: float(col[row]) for name, col in columns.items()}
-        try:
-            state = solve_dc(comp, inputs)
-        except NonConvergenceError:
+        state = reference_solve(nl, inputs)
+        if state is None:
             assert batch.nonconverged[row], inputs
+            with pytest.raises(NonConvergenceError):
+                solve_dc(comp, inputs)
             continue
         assert not batch.nonconverged[row], inputs
         assert batch.conflict[row] == bool(state.conflicts), inputs
+        if state.conflicts:
+            assert solve_dc(comp, inputs).conflicts == state.conflicts, inputs
         for i, name in enumerate(comp.names):
             want = state.voltage(name)
             got = batch.values[row, i]
@@ -232,6 +241,36 @@ def test_batch_conflict_fixture():
 def test_batch_selfgate_reports_nonconvergence():
     batch = _assert_batch_matches_scalar(_selfgate_fixture(), {"a": np.array([0.0, 0.9])})
     assert batch.nonconverged.all()
+
+
+def _two_clashes_fixture():
+    # two disjoint supply shorts: vb-vc (0.45 V against 0.3 V) and va-x-gnd
+    # (0.9 V against 0 V); vb is declared first, so its group comes first
+    # although "gnd" sorts before "vb"
+    b = NetlistBuilder()
+    b.add_supply("vb", 0.45)
+    b.add_supply("va", 0.9)
+    b.add_supply("gnd", 0.0)
+    b.add_supply("vc", 0.3)
+    b.add_input("a", 2)
+    b.add_output("y", 2)
+    b.add_internal("x")
+    b.add_device(Polarity.N, 37, "va", "vb", "vc")
+    b.add_device(Polarity.P, 37, "gnd", "va", "x")
+    b.add_device(Polarity.N, 37, "va", "x", "gnd")
+    return b.build("twoclash")
+
+
+def test_two_disjoint_conflicts_keep_their_order():
+    nl = _two_clashes_fixture()
+    state = solve_dc(nl, {"a": 0.0})
+    assert state.conflicts == (
+        Conflict(nets=("vb", "vc"), voltages=(0.3, 0.45)),
+        Conflict(nets=("gnd", "va", "x"), voltages=(0.0, 0.9)),
+    )
+    assert state.floating == {"y"}
+    batch = _assert_batch_matches_scalar(nl, {"a": np.array([0.0, 0.9])})
+    assert batch.conflict.all()
 
 
 def _shared_supply_fixture():
@@ -300,6 +339,56 @@ def test_floating_upstream_net_gates_downstream_region():
     assert np.isnan(batch.values[~passing, y]).all()
     assert not batch.driven[~passing, y].any()
     assert not batch.conflict.any()
+
+
+def test_step_windows_match_reference_with_retention():
+    from mvladders.adders import AdderVariant, build_full_adder
+
+    mux = build(GateKind("Mux3Ternary"))
+    fa = build_full_adder(AdderVariant.TFA2)
+    cases = [
+        (mux, None, [
+            {"d0": [0, 0], "d1": [2, 2], "d2": [1, 1], "s": [0, 1]},
+            {"d0": [1, 1, 1, 2], "d1": [0, 2, 2, 2], "d2": [2, 2, 0, 0], "s": [2, 1, 0, 2]},
+            {"d0": [2], "d1": [1], "d2": [0], "s": [1]},
+        ]),
+        (fa.netlist, fa.input_maps(), [
+            {"A": [0, 2, 1, 2], "B": [1, 1, 2, 0], "Cin": [0, 1, 1, 0]},
+            {"A": [0, 1, 2, 1, 0], "B": [0] * 5, "Cin": [0] * 5},
+            {"A": [2, 2], "B": [1, 1], "Cin": [0, 1]},
+        ]),
+        # f and y float once en falls, and keep their voltages
+        (_floating_gate_fixture(), None, [
+            {"a": [0, 0, 0, 1], "en": [1, 0, 0, 1]},
+            {"a": [1, 0, 1, 1], "en": [0, 1, 0, 0]},
+        ]),
+    ]
+    retained = 0
+    for nl, maps, windows in cases:
+        traces = list(step_windows(nl, windows, maps, dt=2e-9))
+        assert len(traces) == len(windows)
+        ref_maps = maps or {n.name: VoltageMap(0.9, n.radix) for n in nl.inputs}
+        for waves, trace in zip(windows, traces):
+            states, changes, stepped = reference_step(nl, waves, ref_maps)
+            assert [s.voltages for s in trace.states] == [s.voltages for s in states]
+            assert [s.floating for s in trace.states] == [s.floating for s in states]
+            assert [s.conflicts for s in trace.states] == [s.conflicts for s in states]
+            assert list(trace.changes) == changes
+            assert list(trace.stepped) == stepped
+            assert trace.times == tuple(2e-9 * k for k in range(len(states)))
+            retained += sum(
+                n in s.voltages for s in trace.states for n in s.floating
+            )
+    assert retained  # the cases exercise charge retention
+
+
+def test_nonconverging_step_is_named():
+    nl = _selfgate_fixture(pullup_gate="a")
+    assert step_waveforms(nl, {"a": [1, 1]}).states[1].floating == {"y"}
+    with pytest.raises(NonConvergenceError, match=r"^step 1: 'selfgate' did not reach"):
+        step_waveforms(nl, {"a": [1, 0]})
+    with pytest.raises(NonConvergenceError, match=r"^window 1, step 2: "):
+        step_windows(nl, [{"a": [1]}, {"a": [1, 1, 0]}, {"a": [0]}])
 
 
 def test_batch_handles_zero_rows():
