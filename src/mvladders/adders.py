@@ -111,6 +111,10 @@ class FullAdder:
             "Cout": VoltageMap(self.swing_v, 2),
         }
 
+    def loaded_nets(self) -> tuple[str, ...]:
+        """The outputs, which carry the load in timing and power."""
+        return tuple(n.name for n in self.netlist.outputs)
+
 
 def build_full_adder(
     variant: AdderVariant,

@@ -11,6 +11,13 @@ drives it.  Restoring inverters break the chain into stages, so restored
 carry chains accumulate linearly while raw transmission-gate chains grow
 quadratically.
 
+Everything works on the solver's arrays, keyed by net index: a
+:class:`~mvladders.solver.StepTrace` holds the stepped voltages as
+``[steps x nets]`` arrays, :func:`node_capacitance` returns one float per
+net, and the overdrive comes from the solver's conduction kernel.
+Shortest-path ties are broken and Elmore and energy terms summed
+in net-index order, so every figure is the same in every process.
+
 Energy is C * dV^2 summed over changed nets per step, with no short-circuit
 or leakage term; this matches the conflict-free circuit style.
 
@@ -23,8 +30,9 @@ is a ratio or an ordering.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,8 +41,9 @@ from .device import threshold_voltage_v
 from .netlist import Netlist, flatten
 from .solver import (
     CompiledNetlist,
-    DcState,
     StepTrace,
+    _as_compiled,
+    _overdrive,
     compile_netlist,
     step_waveforms,
     step_windows,
@@ -114,187 +123,153 @@ def area(netlist: Netlist) -> float:
 
 def node_capacitance(
     nl: Netlist | CompiledNetlist, model: TimingModel, loads_f: Mapping[str, float] | None = None
-) -> dict[str, float]:
-    """Per-net capacitance in farads: gate terminals, channel terminals, loads."""
-    comp = nl if isinstance(nl, CompiledNetlist) else compile_netlist(nl)
-    caps = {name: 0.0 for name in comp.names}
-    for dev in comp.netlist.devices:
-        caps[dev.gate] += model.c_gate_f
-        caps[dev.source] += model.c_diff_f
-        caps[dev.drain] += model.c_diff_f
-    if loads_f:
-        for name, extra in loads_f.items():
-            if name not in caps:
-                raise AnalysisError(f"load on unknown net {name!r}")
-            caps[name] += extra
+) -> np.ndarray:
+    """Capacitance in farads of every net, indexed like ``comp.names``: gate
+    terminals, channel terminals, loads."""
+    comp = _as_compiled(nl)
+    g, s, d, _, _ = comp.device_arrays
+    n = comp.n_nets
+    caps = model.c_gate_f * np.bincount(g, minlength=n) + model.c_diff_f * (
+        np.bincount(s, minlength=n) + np.bincount(d, minlength=n)
+    )
+    for name, extra in (loads_f or {}).items():
+        if name not in comp.index:
+            raise AnalysisError(f"load on unknown net {name!r}")
+        caps[comp.index[name]] += extra
     return caps
 
 
-def _device_resistance(comp: CompiledNetlist, j: int, val: dict[str, float]) -> float | None:
-    """rho/overdrive for device j in a solved state; None when off."""
-    vg = val.get(comp.names[comp.dev_g[j]])
-    vs = val.get(comp.names[comp.dev_s[j]])
-    vd = val.get(comp.names[comp.dev_d[j]])
-    if vg is None:
-        return None
-    known = [v for v in (vs, vd) if v is not None]
-    if not known:
-        return None
-    if comp.dev_is_n[j]:
-        overdrive = vg - min(known) - comp.dev_vth[j]
-    else:
-        overdrive = max(known) - vg - comp.dev_vth[j]
-    if overdrive <= 0:
-        return None
-    return 1.0 / overdrive  # rho applied by the caller
-
-
 def settle_times(
-    comp: CompiledNetlist,
-    prev: DcState,
-    cur: DcState,
-    model: TimingModel,
-    caps: Mapping[str, float],
-) -> dict[str, float]:
-    """Settling time in seconds for every net that changed in this step.
+    trace: StepTrace, step: int, model: TimingModel, caps: np.ndarray
+) -> dict[int, float]:
+    """Settling time in seconds of every net that moved at ``step``, keyed
+    by net index.
 
-    A changed net waits for the slowest changed gate along its driving path
-    (stage causality), then adds the Elmore sum over the changed nets of its
-    channel-connected component, weighted by shared path resistance.
+    A moved net waits for the slowest moved gate along its driving path
+    (stage causality), then adds the Elmore sum over the moved nets of its
+    channel-connected component, weighted by shared path resistance.  Path
+    ties are broken and Elmore terms summed in net-index order.
     """
-    if cur.conflicts:
-        raise AnalysisError(f"conflicted state: {cur.conflicts[0]}")
-    changed: set[str] = set()
-    for name, new in cur.voltages.items():
-        old = prev.voltages.get(name)
-        if old is None or abs(new - old) > _CHANGE_TOL:
-            changed.add(name)
-    if not changed:
+    comp = trace.comp
+    if trace.conflicts[step]:
+        raise AnalysisError(f"conflicted state: {trace.conflicts[step][0]}")
+    moved = trace.moved[step]
+    if not moved.any():
         return {}
+    n_nets = comp.n_nets
+    is_source = np.zeros(n_nets, dtype=bool)
+    is_source[[*comp.supply_v, *comp.input_idx]] = True
+    targets = np.flatnonzero(moved & ~is_source).tolist()
 
-    # driven values only: retained charge neither conducts nor drives
-    val = {n: v for n, v in cur.voltages.items() if n not in cur.floating}
-    sources = set(comp.supply_v)
-    sources.update(comp.input_idx)
-    source_names = {comp.names[i] for i in sources}
+    # conducting devices, merged per channel into edges of summed conductance;
+    # retained charge neither conducts nor drives
+    val = np.where(trace.driven[step], trace.values[step], np.nan)
+    g, s, d, is_n, vth = comp.device_arrays
+    overdrive = _overdrive(is_n, vth, val[g], val[s], val[d])
+    on = np.flatnonzero(overdrive > 0)
+    conductance = 1.0 / ((1.0 / overdrive[on]) * model.rho_ohm_v)
+    edges: dict[tuple[int, int], list] = {}
+    for a, b, gate, gj in zip(
+        s[on].tolist(), d[on].tolist(), g[on].tolist(), conductance.tolist()
+    ):
+        edge = edges.setdefault((a, b) if a <= b else (b, a), [0.0, []])
+        edge[0] += gj
+        edge[1].append(gate)
+    adjacency: list[list[tuple[int, float, list[int]]]] = [[] for _ in range(n_nets)]
+    for (a, b), (total, gates) in edges.items():
+        adjacency[a].append((b, 1.0 / total, gates))
+        adjacency[b].append((a, 1.0 / total, gates))
 
-    # conducting devices as conductance-merged edges
-    edge_g: dict[tuple[str, str], float] = {}
-    edge_gates: dict[tuple[str, str], list[str]] = {}
-    for j in range(comp.n_devices):
-        r = _device_resistance(comp, j, val)
-        if r is None:
+    # multi-source Dijkstra until every target is reached; the heap breaks
+    # ties by net index
+    sources = np.flatnonzero(is_source).tolist()
+    dist = [math.inf] * n_nets
+    parent: list[tuple[int, list[int]] | None] = [None] * n_nets
+    for i in sources:
+        dist[i] = 0.0
+    heap = [(0.0, i) for i in sources]
+    unreached = set(targets)
+    while heap and unreached:
+        du, u = heapq.heappop(heap)
+        if du > dist[u]:
             continue
-        r *= model.rho_ohm_v
-        a = comp.names[comp.dev_s[j]]
-        b = comp.names[comp.dev_d[j]]
-        key = (a, b) if a <= b else (b, a)
-        edge_g[key] = edge_g.get(key, 0.0) + 1.0 / r
-        edge_gates.setdefault(key, []).append(comp.names[comp.dev_g[j]])
-
-    adjacency: dict[str, list[tuple[str, float, tuple[str, ...]]]] = {}
-    for (a, b), g in edge_g.items():
-        gates = tuple(edge_gates[(a, b)])
-        adjacency.setdefault(a, []).append((b, 1.0 / g, gates))
-        adjacency.setdefault(b, []).append((a, 1.0 / g, gates))
-
-    # multi-source Dijkstra, deterministic tie-breaks by net name
-    dist: dict[str, float] = {name: 0.0 for name in source_names}
-    parent: dict[str, tuple[str, tuple[str, ...]] | None] = {name: None for name in source_names}
-    heap = [(0.0, name) for name in sorted(source_names)]
-    heapq.heapify(heap)
-    seen: set[str] = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in seen:
-            continue
-        seen.add(u)
-        for v, r, gates in sorted(adjacency.get(u, ())):
-            nd = d + r
-            if v not in dist or nd < dist[v] - 1e-18:
+        unreached.discard(u)
+        for v, r, gates in adjacency[u]:
+            nd = du + r
+            if nd < dist[v] - 1e-18:
                 dist[v] = nd
                 parent[v] = (u, gates)
                 heapq.heappush(heap, (nd, v))
+    if unreached:
+        raise AnalysisError(f"changed net {comp.names[min(unreached)]!r} has no driving path")
 
-    def root_path(n: str) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
-        """(nodes root..n, gate tuples per hop); cached per call set."""
-        nodes: list[str] = []
-        gates: list[tuple[str, ...]] = []
-        cur_n = n
-        while True:
-            nodes.append(cur_n)
-            p = parent.get(cur_n)
-            if p is None:
-                break
-            cur_n, hop_gates = p
-            gates.append(hop_gates)
-        nodes.reverse()
-        gates.reverse()
-        return tuple(nodes), tuple(gates)
-
-    paths: dict[str, tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]] = {}
-    targets = [n for n in changed if n not in source_names]
+    # root path of every target and the gates of the devices along it
+    paths: dict[int, list[int]] = {}
+    path_gates: dict[int, list[int]] = {}
     for n in targets:
-        if n not in dist:
-            raise AnalysisError(f"changed net {n!r} has no driving path")
-        paths[n] = root_path(n)
+        nodes, gates, hop = [n], [], parent[n]
+        while hop is not None:
+            nodes.append(hop[0])
+            gates.extend(hop[1])
+            hop = parent[hop[0]]
+        nodes.reverse()
+        paths[n], path_gates[n] = nodes, gates
 
-    def elmore(n: str) -> float:
-        nodes_n, _ = paths[n]
-        prefix = {node: dist[node] for node in nodes_n}
+    # Elmore: each target sums, over all targets in index order, their
+    # capacitance times the resistance of the root path the two share
+    cap = caps.tolist()
+    elmore: dict[int, float] = {}
+    for n in targets:
+        on_path = set(paths[n])
         total = 0.0
         for m in targets:
-            nodes_m, _ = paths[m]
-            if nodes_m[0] != nodes_n[0]:
-                continue  # different root: no shared resistance
-            shared = 0.0
-            for node in nodes_m:
-                if node in prefix:
-                    shared = prefix[node]
-                else:
+            shared = 0.0  # and none across different roots
+            for node in paths[m]:
+                if node not in on_path:
                     break
-            total += caps.get(m, 0.0) * shared
-        return total
+                shared = dist[node]
+            total += cap[m] * shared
+        elmore[n] = total
 
-    settle: dict[str, float] = {}
-
-    def gate_time(g: str) -> float | None:
-        if g not in changed or g in source_names:
-            return 0.0
-        return settle.get(g)
-
-    pending = set(targets)
-    for _ in range(len(pending) + 2):
-        progress = False
-        for n in sorted(pending):
-            _, hop_gates = paths[n]
-            times = []
-            ready = True
-            for gates in hop_gates:
-                for g in gates:
-                    t = gate_time(g)
-                    if t is None:
-                        ready = False
-                        break
-                    times.append(t)
-                if not ready:
-                    break
-            if not ready:
-                continue
-            settle[n] = max(times, default=0.0) + elmore(n)
-            pending.discard(n)
-            progress = True
-        if not pending:
-            break
-        if not progress:
-            raise AnalysisError(f"settle ordering did not resolve for {sorted(pending)}")
-    for n in changed & source_names:
+    # a target settles after the slowest target gating its path
+    waits = set(targets)
+    settle: dict[int, float] = {}
+    pending = targets
+    while pending:
+        waiting = []
+        for n in pending:
+            gates = [gate for gate in path_gates[n] if gate in waits]
+            if all(gate in settle for gate in gates):
+                settle[n] = max((settle[gate] for gate in gates), default=0.0) + elmore[n]
+            else:
+                waiting.append(n)
+        if len(waiting) == len(pending):
+            names = sorted(comp.names[i] for i in waiting)
+            raise AnalysisError(f"settle ordering did not resolve for {names}")
+        pending = waiting
+    for n in np.flatnonzero(moved & is_source).tolist():
         settle[n] = 0.0
     return settle
 
 
-def _default_loads(nl: Netlist, cl_ff: float) -> dict[str, float]:
-    return {n.name: cl_ff * _FF for n in nl.outputs}
+def _worst_settle(
+    trace: StepTrace,
+    model: TimingModel,
+    caps: np.ndarray,
+    steps: Iterable[int],
+    targets: Sequence[int],
+) -> list[float]:
+    """The settle loop: the largest settling time of each target net over
+    ``steps`` (0.0 where it never moves).  A target without a value at one
+    of those steps is an error."""
+    worst = [0.0] * len(targets)
+    for k in steps:
+        for t in targets:
+            if math.isnan(trace.values[k, t]):
+                raise AnalysisError(f"output {trace.comp.names[t]!r} floating at step {k}")
+        settle = settle_times(trace, k, model, caps)
+        worst = [max(w, settle.get(t, w)) for w, t in zip(worst, targets)]
+    return worst
 
 
 def path_delay(
@@ -306,28 +281,19 @@ def path_delay(
     loads_ff: Mapping[str, float] | None = None,
 ) -> float:
     """Worst settling time of ``to_net`` over the steps where ``from_net``
-    transitions.  Returns 0.0 when the target never moves (already settled)."""
-    comp = compile_netlist(trace.netlist)
+    transitions.  Returns 0.0 when the target never moves (already settled).
+    Loads default to ``cl_ff`` on every output."""
+    comp = trace.comp
     if loads_ff is None:
-        loads = _default_loads(trace.netlist, cl_ff)
-    else:
-        loads = {name: ff * _FF for name, ff in loads_ff.items()}
-    caps = node_capacitance(comp, model, loads)
+        loads_ff = {n.name: cl_ff for n in comp.netlist.outputs}
+    caps = node_capacitance(comp, model, {name: ff * _FF for name, ff in loads_ff.items()})
     if from_net not in comp.index or to_net not in comp.index:
         raise AnalysisError("unknown from/to net")
-    transitions = 0
-    worst = 0.0
-    for k in range(1, len(trace)):
-        if from_net not in trace.stepped[k] and from_net not in trace.changes[k]:
-            continue
-        transitions += 1
-        if to_net not in trace.states[k].voltages:
-            raise AnalysisError(f"output {to_net!r} floating at step {k}")
-        settle = settle_times(comp, trace.states[k - 1], trace.states[k], model, caps)
-        if to_net in settle:
-            worst = max(worst, settle[to_net])
-    if transitions == 0:
+    moved = trace.moved[:, comp.index[from_net]]
+    steps = [k for k in range(1, len(trace)) if from_net in trace.stepped[k] or moved[k]]
+    if not steps:
         raise AnalysisError(f"{from_net!r} never transitions in the trace window")
+    (worst,) = _worst_settle(trace, model, caps, steps, [comp.index[to_net]])
     return worst
 
 
@@ -354,38 +320,20 @@ def _staircase(radix: int) -> list[int]:
 
 
 def _design_parts(design: FullAdder | Cpa):
-    """(netlist, input maps, a/b/cin step ports, constants, sum/cout targets)."""
+    """(a/b/cin step ports, constants, sum/cout targets)."""
     if isinstance(design, FullAdder):
-        return (
-            design.netlist,
-            design.input_maps(),
-            "A",
-            "B",
-            "Cin",
-            {},
-            "Sum",
-            "Cout",
-        )
+        return "A", "B", "Cin", {}, "Sum", "Cout"
     const = {}
     for i in range(1, design.digits):
         const[f"A{i}"] = design.radix - 1  # propagate context for upper digits
         const[f"B{i}"] = 0
-    return (
-        design.netlist,
-        design.input_maps(),
-        "A0",
-        "B0",
-        "C0",
-        const,
-        f"S{design.digits - 1}",
-        "C_final",
-    )
+    return "A0", "B0", "C0", const, f"S{design.digits - 1}", "C_final"
 
 
 def _delay_windows(design: FullAdder | Cpa) -> Iterable[tuple[str, dict[str, list[int]]]]:
     """(stepped input, waveform dict) covering every single-input adjacent
     transition in every context, plus the up-down staircases."""
-    _, _, a_port, b_port, cin_port, const, _, _ = _design_parts(design)
+    a_port, b_port, cin_port, const, _, _ = _design_parts(design)
     radix = design.radix
 
     def widen(active: dict[str, list[int]], steps: int) -> dict[str, list[int]]:
@@ -413,45 +361,42 @@ def _delay_windows(design: FullAdder | Cpa) -> Iterable[tuple[str, dict[str, lis
                 )
 
 
-def worst_case_delays(
-    design: FullAdder | Cpa, model: TimingModel, cl_ff: float
+def _delay_traces(design: FullAdder | Cpa, comp: CompiledNetlist) -> list[tuple[str, StepTrace]]:
+    """Every delay window stepped, with the input it steps."""
+    windows = list(_delay_windows(design))
+    traces = step_windows(comp, [wave for _, wave in windows], design.input_maps())
+    return [(stepped, trace) for (stepped, _), trace in zip(windows, traces)]
+
+
+def _delays(
+    design: FullAdder | Cpa,
+    windows: Sequence[tuple[str, StepTrace]],
+    model: TimingModel,
+    cl_ff: float,
 ) -> DelayQuad:
+    """Per-path maxima over the stepped delay windows at one load."""
+    _, _, cin_port, _, sum_t, cout_t = _design_parts(design)
+    comp = windows[0][1].comp
+    caps = node_capacitance(comp, model, {name: cl_ff * _FF for name in design.loaded_nets()})
+    best = {"in_cout": 0.0, "in_sum": 0.0, "cin_cout": 0.0, "cin_sum": 0.0}
+    targets = [comp.index[sum_t], comp.index[cout_t]]
+    for stepped, trace in windows:
+        steps = [k for k in range(1, len(trace)) if stepped in trace.stepped[k]]
+        t_sum, t_cout = _worst_settle(trace, model, caps, steps, targets)
+        prefix = "cin" if stepped == cin_port else "in"
+        best[f"{prefix}_sum"] = max(best[f"{prefix}_sum"], t_sum)
+        best[f"{prefix}_cout"] = max(best[f"{prefix}_cout"], t_cout)
+    return DelayQuad(**best)
+
+
+def worst_case_delays(design: FullAdder | Cpa, model: TimingModel, cl_ff: float) -> DelayQuad:
     """Per-path maxima over the adjacent-transition and staircase windows.
 
     Loads: cl_ff on every stage output (the sums, the final carry, and the
     rippling inter-stage carries of a CPA).
     """
-    nl, maps, a_port, b_port, cin_port, _, sum_t, cout_t = _design_parts(design)
-    comp = compile_netlist(nl)
-    if isinstance(design, Cpa):
-        loads = {name: cl_ff * _FF for name in design.loaded_nets()}
-    else:
-        loads = _default_loads(nl, cl_ff)
-    caps = node_capacitance(comp, model, loads)
-
-    best = {"in_cout": 0.0, "in_sum": 0.0, "cin_cout": 0.0, "cin_sum": 0.0}
-    windows = list(_delay_windows(design))
-    traces = step_windows(comp, [wave for _, wave in windows], maps)
-    for (stepped, _), trace in zip(windows, traces):
-        for k in range(1, len(trace)):
-            if stepped not in trace.stepped[k]:
-                continue
-            state = trace.states[k]
-            for target in (sum_t, cout_t):
-                if target not in state.voltages:
-                    raise AnalysisError(f"output {target!r} floating in delay window")
-            settle = settle_times(comp, trace.states[k - 1], state, model, caps)
-            prefix = "cin" if stepped == cin_port else "in"
-            if cout_t in settle:
-                best[f"{prefix}_cout"] = max(best[f"{prefix}_cout"], settle[cout_t])
-            if sum_t in settle:
-                best[f"{prefix}_sum"] = max(best[f"{prefix}_sum"], settle[sum_t])
-    return DelayQuad(
-        in_cout=best["in_cout"],
-        in_sum=best["in_sum"],
-        cin_cout=best["cin_cout"],
-        cin_sum=best["cin_sum"],
-    )
+    comp = compile_netlist(design.netlist)
+    return _delays(design, _delay_traces(design, comp), model, cl_ff)
 
 
 # --------------------------------------------------------------------------
@@ -464,18 +409,18 @@ def dynamic_power(
     period_s: float,
     loads_ff: Mapping[str, float] | None = None,
 ) -> float:
-    """Average power: sum over steps and changed nets of C * dV^2, divided
-    by the total waveform time."""
+    """Average power: sum over steps and moved nets of C * dV^2, divided by
+    the total waveform time.  A net that gains a value costs nothing."""
     if period_s <= 0:
         raise AnalysisError("waveform period must be positive")
     loads = {name: ff * _FF for name, ff in (loads_ff or {}).items()}
-    caps = node_capacitance(trace.netlist, model, loads)
+    caps = node_capacitance(trace.comp, model, loads)
+    values = trace.values
+    swung = trace.moved[1:] & ~np.isnan(values[:-1])
+    dv = (values[1:] - values[:-1])[swung]
     energy = 0.0
-    for delta in trace.changes:
-        for name, (old, new) in delta.items():
-            if old is None:
-                continue
-            energy += caps.get(name, 0.0) * (new - old) ** 2
+    for term in (np.broadcast_to(caps, swung.shape)[swung] * dv**2).tolist():
+        energy += term  # in (step, net index) order
     return energy / period_s
 
 
@@ -488,7 +433,7 @@ def power_waveforms(design: FullAdder | Cpa) -> dict[str, list[int]]:
     """The shared benchmark waveform suite: an up-down staircase on A, then
     on B, then a carry-in pulse train in a propagate context.  Each phase
     spans the same number of steps so every input gets equal exercise."""
-    _, _, a_port, b_port, cin_port, const, _, _ = _design_parts(design)
+    a_port, b_port, cin_port, const, _, _ = _design_parts(design)
     radix = design.radix
     stair = _staircase(radix)
     zeros = [0] * len(stair)
@@ -547,6 +492,41 @@ class BenchReport:
         )
 
 
+def _bench_rows(
+    design: FullAdder | Cpa, model: TimingModel, loads_ff: Iterable[float], step_s: float
+) -> tuple[BenchReport, ...]:
+    """Bench rows of one design at each load.  The DC traces do not depend
+    on the load, so the delay windows and the power waveform are stepped
+    once and priced per load."""
+    comp = compile_netlist(design.netlist)
+    windows = _delay_traces(design, comp)
+    trace = step_waveforms(comp, power_waveforms(design), design.input_maps(), dt=step_s)
+    period = trace.times[-1] - trace.times[0]
+    if isinstance(design, Cpa):
+        label, digits, swing_v, vdd = (
+            design.config.label, design.digits, design.stage.swing_v, design.config.vdd
+        )
+    else:
+        label, digits, swing_v, vdd = design.label, 1, design.swing_v, design.vdd
+    rows = []
+    for cl_ff in loads_ff:
+        delays = _delays(design, windows, model, cl_ff)
+        power = dynamic_power(trace, model, period, {name: cl_ff for name in design.loaded_nets()})
+        rows.append(BenchReport(
+            design=label,
+            radix=design.radix,
+            digits=digits,
+            swing_v=swing_v,
+            vdd_v=vdd,
+            cl_ff=cl_ff,
+            delays=delays,
+            power_w=power,
+            pdp_j=pdp(power, delays.cin_cout),
+            area_nm=area(design.netlist),
+        ))
+    return tuple(rows)
+
+
 def bench(
     design: FullAdder | Cpa,
     model: TimingModel,
@@ -555,38 +535,8 @@ def bench(
     step_s: float = 1e-9,
 ) -> BenchReport:
     """Delays, power and PDP for one design at one load."""
-    delays = worst_case_delays(design, model, cl_ff)
-    nl, maps, *_ = _design_parts(design)
-    waves = power_waveforms(design)
-    trace = step_waveforms(nl, waves, maps, dt=step_s)
-    if isinstance(design, Cpa):
-        loads_ff = {name: cl_ff for name in design.loaded_nets()}
-        swing_v = design.stage.swing_v
-        vdd = design.config.vdd
-        digits = design.digits
-        label = design.config.label
-        carry_swing = design.config.carry_swing
-    else:
-        loads_ff = {n.name: cl_ff for n in nl.outputs}
-        swing_v = design.swing_v
-        vdd = design.vdd
-        digits = 1
-        label = design.label
-        carry_swing = design.carry_swing
-    period = trace.times[-1] - trace.times[0]
-    power = dynamic_power(trace, model, period, loads_ff)
-    return BenchReport(
-        design=label,
-        radix=design.radix,
-        digits=digits,
-        swing_v=swing_v,
-        vdd_v=vdd,
-        cl_ff=cl_ff,
-        delays=delays,
-        power_w=power,
-        pdp_j=pdp(power, delays.cin_cout),
-        area_nm=area(nl),
-    )
+    (row,) = _bench_rows(design, model, [cl_ff], step_s)
+    return row
 
 
 @dataclass(frozen=True)
@@ -608,7 +558,7 @@ def sweep_load(
 ) -> LoadSweep:
     """Bench at each load; the linear fits need at least two distinct loads
     and are left empty otherwise."""
-    rows = tuple(bench(design, model, cl) for cl in loads_ff)
+    rows = _bench_rows(design, model, loads_ff, step_s=1e-9)
     fits: dict[str, tuple[float, float, float]] = {}
     x = np.array([r.cl_ff for r in rows])
     if len(set(x.tolist())) < 2:

@@ -47,11 +47,8 @@ _VARIANTS = {
     "qfa1": AdderVariant.QFA1,
     "qfa2": AdderVariant.QFA2,
     "bfa1": AdderVariant.BFA1_14T,
-    "bfa1_14t": AdderVariant.BFA1_14T,
     "bfa2": AdderVariant.BFA2_28T,
-    "bfa2_28t": AdderVariant.BFA2_28T,
     "bfa3": AdderVariant.BFA3_MUX,
-    "bfa3_mux": AdderVariant.BFA3_MUX,
 }
 
 
@@ -66,7 +63,7 @@ def parse_design_spec(spec: str) -> FullAdder | Cpa:
         raise SpecError("empty design spec")
     variant = _VARIANTS.get(parts[0].lower())
     if variant is None:
-        raise SpecError(f"unknown variant {parts[0]!r}; choose from {sorted(set(_VARIANTS))}")
+        raise SpecError(f"unknown variant {parts[0]!r}; choose from {sorted(_VARIANTS)}")
     swing: CarrySwing | None = None
     vdd = 0.9
     digits = 1
@@ -314,6 +311,8 @@ def _parse_assignment(text: str, inputs: dict[str, VoltageMap]) -> dict[str, flo
             raise SpecError(f"{name!r} is not an input net")
         if raw.lower().endswith("v"):
             values[name] = float(raw[:-1])
+            if not math.isfinite(values[name]):
+                raise SpecError(f"input {name!r} needs a finite voltage, got {raw!r}")
         else:
             values[name] = inputs[name].volts(int(raw))
     return values

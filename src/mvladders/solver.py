@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
@@ -92,15 +92,21 @@ class DcState:
         return not self.conflicts
 
 
+def _overdrive(is_n, vth, vg, vs, vd):
+    """Conduction margin of N devices ``vg - min(vs, vd) - vth`` and of P
+    devices ``max(vs, vd) - vg - vth``; a device conducts where it is
+    positive.  One unknown (NaN) channel end is ignored; an unknown gate or
+    two unknown ends give NaN, which compares False."""
+    return np.where(is_n, vg - np.fmin(vs, vd), np.fmax(vs, vd) - vg) - vth
+
+
 def conducts(device: Device, v_gate: float, v_a: float, v_b: float) -> bool:
     """Ideal-switch conduction test with all terminal voltages known.
 
     N conducts iff v_gate - min(v_a, v_b) > Vth; P iff max(v_a, v_b) - v_gate > Vth.
     """
-    vth = device.spec.threshold_v
-    if device.spec.polarity is Polarity.N:
-        return v_gate - min(v_a, v_b) > vth
-    return max(v_a, v_b) - v_gate > vth
+    is_n = device.spec.polarity is Polarity.N
+    return bool(_overdrive(is_n, device.spec.threshold_v, v_gate, v_a, v_b) > 0)
 
 
 @dataclass
@@ -131,6 +137,17 @@ class CompiledNetlist:
     @property
     def iteration_cap(self) -> int:
         return 2 + 2 * self.n_devices
+
+    @cached_property
+    def device_arrays(self) -> tuple[np.ndarray, ...]:
+        """(gate, source, drain, is_n, vth) of every device as arrays."""
+        return (
+            np.asarray(self.dev_g, dtype=np.intp),
+            np.asarray(self.dev_s, dtype=np.intp),
+            np.asarray(self.dev_d, dtype=np.intp),
+            np.asarray(self.dev_is_n, dtype=bool),
+            np.asarray(self.dev_vth, dtype=np.float64),
+        )
 
     @cached_property
     def ccr_plan(self) -> "_CcrPlan":
@@ -210,9 +227,7 @@ class _CcrPlan:
 def _make_unit(comp: CompiledNetlist, devices: Sequence[int], nets: Sequence[int]) -> _Unit:
     devices = np.asarray(sorted(devices), dtype=np.intp)
     own = sorted(nets)
-    g = np.asarray(comp.dev_g, dtype=np.intp)[devices]
-    s = np.asarray(comp.dev_s, dtype=np.intp)[devices]
-    d = np.asarray(comp.dev_d, dtype=np.intp)[devices]
+    g, s, d, is_n, vth = (a[devices] for a in comp.device_arrays)
     ext = sorted(set(np.concatenate([g, s, d]).tolist()) - set(own))
     to_row = np.zeros(comp.n_nets, dtype=np.intp)
     to_row[own + ext] = np.arange(len(own) + len(ext))
@@ -227,8 +242,8 @@ def _make_unit(comp: CompiledNetlist, devices: Sequence[int], nets: Sequence[int
         g=to_row[g],
         s=s_row,
         d=d_row,
-        is_n=np.asarray(comp.dev_is_n)[devices][:, None],
-        vth=np.asarray(comp.dev_vth)[devices][:, None],
+        is_n=is_n[:, None],
+        vth=vth[:, None],
         slot_dev=np.tile(np.arange(len(devices)), 2)[by_end],
         end_rows=end_rows,
         end_starts=end_starts,
@@ -367,11 +382,9 @@ def _components(
 
 def _conduction(unit: _Unit, val: np.ndarray) -> np.ndarray:
     """Which devices conduct, per column of the value table ``val``.  NaN
-    (unknown) terminals compare False: those devices stay off."""
-    vg, vs, vd = val[unit.g], val[unit.s], val[unit.d]
-    return np.where(
-        unit.is_n, vg - np.fmin(vs, vd) > unit.vth, np.fmax(vs, vd) - vg > unit.vth
-    )
+    (unknown) terminals compare False: those devices stay off.  For finite
+    x, x - y > 0 exactly when x > y, so this is the threshold test itself."""
+    return _overdrive(unit.is_n, unit.vth, val[unit.g], val[unit.s], val[unit.d]) > 0
 
 
 def _relax(
@@ -579,16 +592,15 @@ def _dc_state(
     driven: list[bool],
     conflicts: tuple[Conflict, ...],
     iterations: int,
-    warm: Mapping[str, float] | None,
 ) -> DcState:
-    """One batch row as a :class:`DcState`; floating nets take their
-    ``warm`` voltage."""
-    voltages = {name: v for name, v in zip(comp.names, values) if not math.isnan(v)}
-    floating = frozenset(name for name, on in zip(comp.names, driven) if not on)
-    if warm:
-        for name, on in zip(comp.names, driven):
-            if not on and name in warm:
-                voltages[name] = warm[name]
+    """One solved row as a :class:`DcState`.  A value on an undriven net is
+    retained charge; those are listed after the driven nets."""
+    names = comp.names
+    voltages = {n: v for n, v, on in zip(names, values, driven) if on and not math.isnan(v)}
+    voltages.update(
+        (n, v) for n, v, on in zip(names, values, driven) if not on and not math.isnan(v)
+    )
+    floating = frozenset(n for n, on in zip(names, driven) if not on)
     return DcState(
         voltages=voltages, floating=floating, conflicts=conflicts, iterations=iterations
     )
@@ -620,13 +632,11 @@ def solve_dc(
     batch = solve_dc_batch(comp, {name: [volts] for name, volts in inputs.items()})
     if batch.nonconverged[0]:
         raise NonConvergenceError(_no_fixed_point(comp))
+    values, driven = batch.values[0].tolist(), batch.driven[0].tolist()
+    if warm:
+        values = [v if on else warm.get(n, v) for n, v, on in zip(comp.names, values, driven)]
     return _dc_state(
-        comp,
-        batch.values[0].tolist(),
-        batch.driven[0].tolist(),
-        _conflict_groups(comp, batch).get(0, ()),
-        batch.iterations,
-        warm,
+        comp, values, driven, _conflict_groups(comp, batch).get(0, ()), batch.iterations
     )
 
 
@@ -634,27 +644,69 @@ def solve_dc(
 # quasi-static stepping
 
 
-@dataclass
+@dataclass(eq=False)
 class StepTrace:
-    """Ordered DC solutions across a level waveform, with per-step deltas.
+    """Solved node voltages across a level waveform, as arrays over
+    ``comp.names`` with one row per step.
 
-    ``changes[k]`` maps each net whose voltage moved at step k to
-    ``(old, new)``; ``changes[0]`` is empty, matching the solved initial
-    vector.  Floating nets retain their previous voltage between steps.
+    ``values`` is ``[steps x nets]``, NaN where a net has no value.  A net
+    that is not driven keeps its previous value (charge retention):
+    ``values[k, i]`` is the solved voltage if ``driven[k, i]`` and
+    ``values[k - 1, i]`` otherwise.  ``conflicts[k]`` lists the supply
+    conflicts of step k and ``stepped[k]`` the inputs whose level changed.
+
+    ``moved``, ``states`` and ``changes`` are views built on first use:
+    ``states[k]`` is step k as a :class:`DcState`, and ``changes[k]`` maps
+    each net whose voltage moved at step k to ``(old, new)``; ``changes[0]``
+    is empty, matching the solved initial vector.
     """
 
-    netlist: Netlist
+    comp: CompiledNetlist
     times: tuple[float, ...]
-    states: tuple[DcState, ...]
-    changes: tuple[dict[str, tuple[float | None, float]], ...]
-    stepped: tuple[frozenset[str], ...] = field(default=())
+    values: np.ndarray      # [steps, nets] float64
+    driven: np.ndarray      # [steps, nets] bool
+    conflicts: tuple[tuple[Conflict, ...], ...]
+    stepped: tuple[frozenset[str], ...]
+    iterations: int
 
     @property
-    def netlist_name(self) -> str:
-        return self.netlist.name
+    def netlist(self) -> Netlist:
+        return self.comp.netlist
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.values)
+
+    @cached_property
+    def moved(self) -> np.ndarray:
+        """``[steps x nets]`` bool: the nets that gained a value or moved by
+        more than 1 nV at each step; row 0 is all False."""
+        new, old = self.values[1:], self.values[:-1]
+        moved = np.zeros(self.values.shape, dtype=bool)
+        moved[1:] = ~np.isnan(new) & (np.isnan(old) | (np.abs(new - old) > _EPS))
+        return moved
+
+    @cached_property
+    def states(self) -> tuple[DcState, ...]:
+        return tuple(
+            _dc_state(self.comp, values, driven, conflicts, self.iterations)
+            for values, driven, conflicts in zip(
+                self.values.tolist(), self.driven.tolist(), self.conflicts
+            )
+        )
+
+    @cached_property
+    def changes(self) -> tuple[dict[str, tuple[float | None, float]], ...]:
+        names = self.comp.names
+        changes: list[dict[str, tuple[float | None, float]]] = [{}]
+        for k in range(1, len(self)):
+            nets = np.flatnonzero(self.moved[k])
+            old = self.values[k - 1, nets].tolist()
+            new = self.values[k, nets].tolist()
+            changes.append({
+                names[i]: (None if math.isnan(o) else o, n)
+                for i, o, n in zip(nets.tolist(), old, new)
+            })
+        return tuple(changes)
 
 
 def default_input_maps(nl: Netlist) -> dict[str, VoltageMap]:
@@ -673,11 +725,10 @@ def step_windows(
     """Quasi-static stepping of several independent waveform windows.
 
     Every column of every window is solved cold in one
-    :func:`solve_dc_batch` call; charge retention is then applied step by
-    step within each window.  That is exact because retained charge never
-    gates a device.  Each window's first column is its solved initial
-    vector, and each window's trace is built when the returned iterator
-    reaches it.
+    :func:`solve_dc_batch` call; charge retention is then applied as a
+    forward fill within each window.  That is exact because retained charge
+    never gates a device.  Each window's first column is its solved initial
+    vector.  The traces share the batch's arrays.
     """
     comp = _as_compiled(nl)
     if maps is None:
@@ -709,37 +760,28 @@ def step_windows(
         raise NonConvergenceError(f"{where}: {_no_fixed_point(comp)}")
     conflicts = _conflict_groups(comp, batch)
 
+    # each value comes from the latest row of its window that drove the net,
+    # or from the window's first row
+    rows = np.arange(len(batch.values))[:, None]
+    source = np.where(batch.driven, rows, -1)
+    source[starts[:-1]] = rows[starts[:-1]]
+    np.maximum.accumulate(source, axis=0, out=source)
+    values = np.take_along_axis(batch.values, source, axis=0)
+
     def trace(window: int) -> StepTrace:
         waveforms = windows[window]
-        rows = range(starts[window], starts[window + 1])
-        values = batch.values[rows.start:rows.stop].tolist()
-        driven = batch.driven[rows.start:rows.stop].tolist()
-        states: list[DcState] = []
-        changes: list[dict[str, tuple[float | None, float]]] = [{}]
-        stepped: list[frozenset[str]] = [frozenset()]
-        prev: dict[str, float] | None = None
-        for k, row in enumerate(rows):
-            state = _dc_state(
-                comp, values[k], driven[k], conflicts.get(row, ()), batch.iterations, prev
-            )
-            if k:
-                delta: dict[str, tuple[float | None, float]] = {}
-                for name, new in state.voltages.items():
-                    old = prev.get(name)
-                    if old is None or abs(new - old) > _EPS:
-                        delta[name] = (old, new)
-                changes.append(delta)
-                stepped.append(frozenset(
-                    n for n in input_names if waveforms[n][k] != waveforms[n][k - 1]
-                ))
-            states.append(state)
-            prev = state.voltages
+        first, stop = starts[window], starts[window + 1]
         return StepTrace(
-            netlist=comp.netlist,
-            times=tuple(k * dt for k in range(len(rows))),
-            states=tuple(states),
-            changes=tuple(changes),
-            stepped=tuple(stepped),
+            comp=comp,
+            times=tuple(k * dt for k in range(stop - first)),
+            values=values[first:stop],
+            driven=batch.driven[first:stop],
+            conflicts=tuple(conflicts.get(row, ()) for row in range(first, stop)),
+            stepped=(frozenset(),) + tuple(
+                frozenset(n for n in input_names if waveforms[n][k] != waveforms[n][k - 1])
+                for k in range(1, stop - first)
+            ),
+            iterations=batch.iterations,
         )
 
     return (trace(window) for window in range(len(windows)))

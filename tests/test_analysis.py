@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import mvladders
 from mvladders.adders import AdderVariant, CpaConfig, build_cpa, build_full_adder
 from mvladders.analysis import (
     AnalysisError,
@@ -14,9 +20,11 @@ from mvladders.analysis import (
     sweep_load,
     worst_case_delays,
 )
+from mvladders.device import threshold_voltage_v
 from mvladders.gates import GateKind, build, build_tgate_chain
 from mvladders.logic import CarrySwing
-from mvladders.solver import step_waveforms
+from mvladders.netlist import parse
+from mvladders.solver import compile_netlist, step_waveforms
 
 
 def test_default_calibration():
@@ -196,15 +204,59 @@ def test_analysis_refuses_conflicts(model):
         path_delay(trace, model, "a", "y", cl_ff=1.0)
 
 
+def test_series_transmission_gates_match_closed_form_elmore(model):
+    # a -> TG1 -> n1 -> TG2 -> y, both enabled.  Once a is high only the P
+    # devices conduct (the N ones have no gate overdrive at 0.9 V), and TG2's
+    # thinner tube makes R2 differ from R1, so the shared-path weighting shows.
+    nl = parse(
+        "SUPPLY vdd 0.9\nSUPPLY gnd 0\nINPUT a 2\nOUTPUT y 2\nNET n1\n"
+        "DEVICE N n=19 g=vdd s=a d=n1\nDEVICE P n=19 g=gnd s=a d=n1\n"
+        "DEVICE N n=19 g=vdd s=n1 d=y\nDEVICE P n=10 g=gnd s=n1 d=y\n"
+    )
+    trace = step_waveforms(nl, {"a": [0, 1]})
+    r1 = model.rho_ohm_v / (0.9 - threshold_voltage_v(19))
+    r2 = model.rho_ohm_v / (0.9 - threshold_voltage_v(10))
+    c1 = 4 * model.c_diff_f  # n1: four channel terminals
+    c2 = 2 * model.c_diff_f + 3e-15  # y: two channel terminals and the load
+    delay = path_delay(trace, model, "a", "y", loads_ff={"y": 3.0})
+    assert delay == pytest.approx(r1 * (c1 + c2) + r2 * c2, rel=1e-12)
+
+
+def test_bench_does_not_depend_on_hash_seed():
+    # Elmore terms and path ties follow net-index order, never set order
+    code = (
+        "from mvladders.adders import AdderVariant, CpaConfig, build_cpa\n"
+        "from mvladders.analysis import TimingModel, bench\n"
+        "from mvladders.logic import CarrySwing\n"
+        "cpa = build_cpa(CpaConfig(AdderVariant.QFA2, 3, CarrySwing.FULL))\n"
+        "row = bench(cpa, TimingModel.default(), 2.0)\n"
+        "print(repr((*row.delays.as_dict().values(), row.power_w)))\n"
+    )
+    src = str(Path(mvladders.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("1", "3")
+    ]
+    assert outs[0] == outs[1] != ""
+
+
 def test_energy_model_definition(model):
     # one node of capacitance C swung 0 -> V -> 0 dissipates 2 C V^2
     inv = build(GateKind("Inverter"))
-    caps = node_capacitance(inv, model, {"y": 2e-15})
+    comp = compile_netlist(inv)
+    caps = node_capacitance(comp, model, {"y": 2e-15})
     trace = step_waveforms(inv, {"a": [0, 1, 0]}, dt=1e-9)
     # energy counted on a and y; isolate y's contribution analytically
     power = dynamic_power(trace, model, 2e-9, {"y": 2.0})
-    e_y = 2 * caps["y"] * 0.9**2
-    e_a = 2 * caps["a"] * 0.9**2
+    e_y = 2 * caps[comp.index["y"]] * 0.9**2
+    e_a = 2 * caps[comp.index["a"]] * 0.9**2
     assert power == pytest.approx((e_y + e_a) / 2e-9)
 
 

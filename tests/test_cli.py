@@ -172,6 +172,19 @@ def test_run_volt_suffix_assignment(tmp_path):
     assert "y = 0.9 V" in out  # below the n=19 threshold: pullup only
 
 
+@pytest.mark.parametrize("volts", ["nanV", "infV", "-infV"])
+def test_run_rejects_non_finite_input_voltage(tmp_path, volts):
+    f = tmp_path / "inv.net"
+    f.write_text(
+        "SUPPLY vdd 0.9\nSUPPLY gnd 0\nINPUT a 2\nOUTPUT y 2\n"
+        "DEVICE P n=19 g=a s=vdd d=y\nDEVICE N n=19 g=a s=gnd d=y\n"
+    )
+    status, out, err = run_cli(["run", str(f), "--inputs", f"a={volts}"])
+    assert status == ExitStatus.BAD_REQUEST
+    assert out == ""
+    assert "'a' needs a finite voltage" in err
+
+
 def test_run_reduced_carry_scale_annotation(tmp_path):
     import subprocess, sys
 
