@@ -55,6 +55,10 @@ __all__ = [
 # carry path stays within striking distance of the full-swing version.
 _LOW_VTH_N = 37
 
+# The largest [vectors x nets] float64 table verify_exhaustive may ask the
+# solver for; larger requests are refused before anything is built.
+_MAX_TABLE_BYTES = 256 * 2**20
+
 
 class AdderVariant(enum.Enum):
     TFA1 = "TFA1"
@@ -620,7 +624,8 @@ def verify_exhaustive(
     identity value(A) + value(B) + cin == value(S) + radix^digits * cout.
 
     Output digits must decode with full swing; conflicts, non-convergence
-    and floating outputs all count against the design.
+    and floating outputs all count against the design.  A request whose
+    ``[vectors x nets]`` value table would exceed 256 MiB is a ValueError.
     """
     check_radix(radix)
     comp = solver.compile_netlist(netlist)
@@ -640,6 +645,11 @@ def verify_exhaustive(
 
     span = radix**digits
     n_vec = span * span * 2
+    if n_vec * comp.n_nets * 8 > _MAX_TABLE_BYTES:
+        raise ValueError(
+            f"exhaustive verification of {n_vec:,} vectors over {comp.n_nets} nets "
+            f"exceeds the {_MAX_TABLE_BYTES // 2**20} MiB limit per [vectors x nets] table"
+        )
     a_vals = np.repeat(np.arange(span), span * 2)
     b_vals = np.tile(np.repeat(np.arange(span), 2), span)
     cin_vals = np.tile(np.array([0, 1]), span * span)

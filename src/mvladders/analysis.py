@@ -18,6 +18,17 @@ net, and the overdrive comes from the solver's conduction kernel.
 Shortest-path ties are broken and Elmore and energy terms summed
 in net-index order, so every figure is the same in every process.
 
+For a fixed conducting tree the Elmore delay is linear in the node
+capacitances (Rubinstein, Penfield and Horowitz, IEEE TCAD 1983), so each
+step is planned once and priced for every load: the plan holds the moved
+nets, the root-path resistance every two of them share and their settle
+order; pricing multiplies the shared resistances by a ``[nets x loads]``
+capacitance matrix, sums the products by a running sum in net-index
+order (never a pairwise or BLAS sum, whose order depends on the shape)
+and replays the settle order once for all loads.  A load priced with
+others therefore has the bits it has priced alone.  Every load the
+timing layer prices must be finite and non-negative.
+
 Energy is C * dV^2 summed over changed nets per step, with no short-circuit
 or leakage term; this matches the conflict-free circuit style.
 
@@ -31,6 +42,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -139,27 +151,48 @@ def node_capacitance(
     return caps
 
 
-def settle_times(
-    trace: StepTrace, step: int, model: TimingModel, caps: np.ndarray
-) -> dict[int, float]:
-    """Settling time in seconds of every net that moved at ``step``, keyed
-    by net index.
+def _load_caps(
+    comp: CompiledNetlist, model: TimingModel, loads: Sequence[Mapping[str, float]]
+) -> np.ndarray:
+    """The ``[nets x loads]`` capacitance matrix in farads: one column per
+    map of extra load in fF on named nets.  Every load the timing layer
+    prices comes through here; a negative or non-finite one is refused."""
+    caps = np.empty((comp.n_nets, len(loads)))
+    for col, loads_ff in enumerate(loads):
+        for name, ff in loads_ff.items():
+            if not (math.isfinite(ff) and ff >= 0):
+                raise AnalysisError(f"load on {name!r} must be finite and >= 0 fF, got {ff:g}")
+        farads = {name: ff * _FF for name, ff in loads_ff.items()}
+        caps[:, col] = node_capacitance(comp, model, farads)
+    return caps
 
-    A moved net waits for the slowest moved gate along its driving path
-    (stage causality), then adds the Elmore sum over the moved nets of its
-    channel-connected component, weighted by shared path resistance.  Path
-    ties are broken and Elmore terms summed in net-index order.
-    """
+
+@dataclass(frozen=True)
+class _SettlePlan:
+    """The load-independent part of pricing one step.  Positions in
+    ``shared`` and ``order`` index ``targets``."""
+
+    targets: list[int]  # moved nets other than supplies and inputs
+    shared: list[list[float]]  # [T x T] root-path resistance two targets share
+    order: list[tuple[int, list[int]]]  # (target, the targets gating its path)
+    moved_sources: list[int]  # moved supplies and inputs, settled at once
+
+
+def _settle_plan(trace: StepTrace, step: int, model: TimingModel) -> _SettlePlan:
+    """Plan the pricing of ``step``: the moved nets, the root-path
+    resistance every two of them share, and the order in which they
+    settle.  Every refusal of a step is raised here."""
     comp = trace.comp
     if trace.conflicts[step]:
         raise AnalysisError(f"conflicted state: {trace.conflicts[step][0]}")
     moved = trace.moved[step]
-    if not moved.any():
-        return {}
     n_nets = comp.n_nets
     is_source = np.zeros(n_nets, dtype=bool)
     is_source[[*comp.supply_v, *comp.input_idx]] = True
     targets = np.flatnonzero(moved & ~is_source).tolist()
+    moved_sources = np.flatnonzero(moved & is_source).tolist()
+    if not targets:
+        return _SettlePlan([], [], [], moved_sources)
 
     # conducting devices, merged per channel into edges of summed conductance;
     # retained charge neither conducts nor drives
@@ -203,9 +236,10 @@ def settle_times(
     if unreached:
         raise AnalysisError(f"changed net {comp.names[min(unreached)]!r} has no driving path")
 
-    # root path of every target and the gates of the devices along it
-    paths: dict[int, list[int]] = {}
-    path_gates: dict[int, list[int]] = {}
+    # root path of every target, and the targets that gate a device on it
+    position = {n: i for i, n in enumerate(targets)}
+    paths: list[list[int]] = []
+    gating: list[list[int]] = []
     for n in targets:
         nodes, gates, hop = [n], [], parent[n]
         while hop is not None:
@@ -213,42 +247,73 @@ def settle_times(
             gates.extend(hop[1])
             hop = parent[hop[0]]
         nodes.reverse()
-        paths[n], path_gates[n] = nodes, gates
+        paths.append(nodes)
+        gating.append([position[gate] for gate in position.keys() & gates])
 
-    # Elmore: each target sums, over all targets in index order, their
-    # capacitance times the resistance of the root path the two share
-    cap = caps.tolist()
-    elmore: dict[int, float] = {}
-    for n in targets:
-        on_path = set(paths[n])
-        total = 0.0
-        for m in targets:
-            shared = 0.0  # and none across different roots
-            for node in paths[m]:
+    # the resistance of the root path two targets share (none across roots);
+    # two root paths of one tree share the same prefix from either end
+    shared = [[0.0] * len(targets) for _ in targets]
+    for i, nodes in enumerate(paths):
+        on_path = set(nodes)
+        for j in range(i + 1):
+            common = 0.0
+            for node in paths[j]:
                 if node not in on_path:
                     break
-                shared = dist[node]
-            total += cap[m] * shared
-        elmore[n] = total
+                common = dist[node]
+            shared[i][j] = shared[j][i] = common
 
-    # a target settles after the slowest target gating its path
-    waits = set(targets)
-    settle: dict[int, float] = {}
-    pending = targets
+    # a target settles after the slowest target gating its path: resolve in
+    # rounds, each target as soon as every target gating it has resolved
+    resolved = [False] * len(targets)
+    order: list[tuple[int, list[int]]] = []
+    pending = list(range(len(targets)))
     while pending:
         waiting = []
-        for n in pending:
-            gates = [gate for gate in path_gates[n] if gate in waits]
-            if all(gate in settle for gate in gates):
-                settle[n] = max((settle[gate] for gate in gates), default=0.0) + elmore[n]
+        for i in pending:
+            if all(resolved[j] for j in gating[i]):
+                resolved[i] = True
+                order.append((i, gating[i]))
             else:
-                waiting.append(n)
+                waiting.append(i)
         if len(waiting) == len(pending):
-            names = sorted(comp.names[i] for i in waiting)
+            names = sorted(comp.names[targets[i]] for i in waiting)
             raise AnalysisError(f"settle ordering did not resolve for {names}")
         pending = waiting
-    for n in np.flatnonzero(moved & is_source).tolist():
-        settle[n] = 0.0
+    return _SettlePlan(targets, shared, order, moved_sources)
+
+
+def settle_times(
+    trace: StepTrace, step: int, model: TimingModel, caps: np.ndarray
+) -> dict[int, list[float]]:
+    """Settling times in seconds of every net that moved at ``step``, keyed
+    by net index, one per column of the ``[nets x loads]`` capacitance
+    matrix ``caps``.
+
+    A moved net waits for the slowest moved gate along its driving path
+    (stage causality), then adds the Elmore sum over the moved nets of its
+    channel-connected component, weighted by shared path resistance.  The
+    conduction graph, the paths and the settle order do not depend on the
+    capacitances, so they are planned once and every load is priced from
+    the plan.  Path ties are broken and Elmore terms summed in net-index
+    order: the products are summed by a running sum along the target axis,
+    whose order does not depend on the number of loads, so every column
+    has the bits a one-load call would give.
+    """
+    plan = _settle_plan(trace, step, model)
+    n_loads = caps.shape[1]
+    settle = {n: [0.0] * n_loads for n in plan.moved_sources}
+    if not plan.targets:
+        return settle
+    terms = np.asarray(plan.shared)[:, :, None] * caps[plan.targets][None, :, :]
+    times = np.add.accumulate(terms, axis=1)[:, -1].tolist()
+    # each target's Elmore sums become its settle times in settle order; one
+    # without gating targets keeps them (0.0 + t is t for t >= 0)
+    for i, gating in plan.order:
+        if gating:
+            ready = map(max, *(times[j] for j in gating)) if len(gating) > 1 else times[gating[0]]
+            times[i] = list(map(operator.add, ready, times[i]))
+    settle.update(zip(plan.targets, times))
     return settle
 
 
@@ -258,17 +323,17 @@ def _worst_settle(
     caps: np.ndarray,
     steps: Iterable[int],
     targets: Sequence[int],
-) -> list[float]:
+) -> list[list[float]]:
     """The settle loop: the largest settling time of each target net over
-    ``steps`` (0.0 where it never moves).  A target without a value at one
-    of those steps is an error."""
-    worst = [0.0] * len(targets)
+    ``steps``, one per load column of ``caps`` (0.0 where it never moves).
+    A target without a value at one of those steps is an error."""
+    worst = [[0.0] * caps.shape[1] for _ in targets]
     for k in steps:
         for t in targets:
             if math.isnan(trace.values[k, t]):
                 raise AnalysisError(f"output {trace.comp.names[t]!r} floating at step {k}")
         settle = settle_times(trace, k, model, caps)
-        worst = [max(w, settle.get(t, w)) for w, t in zip(worst, targets)]
+        worst = [list(map(max, w, settle.get(t, w))) for w, t in zip(worst, targets)]
     return worst
 
 
@@ -286,14 +351,14 @@ def path_delay(
     comp = trace.comp
     if loads_ff is None:
         loads_ff = {n.name: cl_ff for n in comp.netlist.outputs}
-    caps = node_capacitance(comp, model, {name: ff * _FF for name, ff in loads_ff.items()})
+    caps = _load_caps(comp, model, [loads_ff])
     if from_net not in comp.index or to_net not in comp.index:
         raise AnalysisError("unknown from/to net")
     moved = trace.moved[:, comp.index[from_net]]
     steps = [k for k in range(1, len(trace)) if from_net in trace.stepped[k] or moved[k]]
     if not steps:
         raise AnalysisError(f"{from_net!r} never transitions in the trace window")
-    (worst,) = _worst_settle(trace, model, caps, steps, [comp.index[to_net]])
+    ((worst,),) = _worst_settle(trace, model, caps, steps, [comp.index[to_net]])
     return worst
 
 
@@ -372,21 +437,21 @@ def _delays(
     design: FullAdder | Cpa,
     windows: Sequence[tuple[str, StepTrace]],
     model: TimingModel,
-    cl_ff: float,
-) -> DelayQuad:
-    """Per-path maxima over the stepped delay windows at one load."""
+    caps: np.ndarray,
+) -> list[DelayQuad]:
+    """Per-path maxima over the stepped delay windows, one quad per load
+    column of ``caps``."""
     _, _, cin_port, _, sum_t, cout_t = _design_parts(design)
     comp = windows[0][1].comp
-    caps = node_capacitance(comp, model, {name: cl_ff * _FF for name in design.loaded_nets()})
-    best = {"in_cout": 0.0, "in_sum": 0.0, "cin_cout": 0.0, "cin_sum": 0.0}
+    best = {path: [0.0] * caps.shape[1] for path in ("in_cout", "in_sum", "cin_cout", "cin_sum")}
     targets = [comp.index[sum_t], comp.index[cout_t]]
     for stepped, trace in windows:
         steps = [k for k in range(1, len(trace)) if stepped in trace.stepped[k]]
         t_sum, t_cout = _worst_settle(trace, model, caps, steps, targets)
         prefix = "cin" if stepped == cin_port else "in"
-        best[f"{prefix}_sum"] = max(best[f"{prefix}_sum"], t_sum)
-        best[f"{prefix}_cout"] = max(best[f"{prefix}_cout"], t_cout)
-    return DelayQuad(**best)
+        best[f"{prefix}_sum"] = list(map(max, best[f"{prefix}_sum"], t_sum))
+        best[f"{prefix}_cout"] = list(map(max, best[f"{prefix}_cout"], t_cout))
+    return [DelayQuad(**dict(zip(best, quad))) for quad in zip(*best.values())]
 
 
 def worst_case_delays(design: FullAdder | Cpa, model: TimingModel, cl_ff: float) -> DelayQuad:
@@ -396,7 +461,9 @@ def worst_case_delays(design: FullAdder | Cpa, model: TimingModel, cl_ff: float)
     rippling inter-stage carries of a CPA).
     """
     comp = compile_netlist(design.netlist)
-    return _delays(design, _delay_traces(design, comp), model, cl_ff)
+    caps = _load_caps(comp, model, [dict.fromkeys(design.loaded_nets(), cl_ff)])
+    (delays,) = _delays(design, _delay_traces(design, comp), model, caps)
+    return delays
 
 
 # --------------------------------------------------------------------------
@@ -413,8 +480,7 @@ def dynamic_power(
     the total waveform time.  A net that gains a value costs nothing."""
     if period_s <= 0:
         raise AnalysisError("waveform period must be positive")
-    loads = {name: ff * _FF for name, ff in (loads_ff or {}).items()}
-    caps = node_capacitance(trace.comp, model, loads)
+    (caps,) = _load_caps(trace.comp, model, [loads_ff or {}]).T
     values = trace.values
     swung = trace.moved[1:] & ~np.isnan(values[:-1])
     dv = (values[1:] - values[:-1])[swung]
@@ -497,8 +563,11 @@ def _bench_rows(
 ) -> tuple[BenchReport, ...]:
     """Bench rows of one design at each load.  The DC traces do not depend
     on the load, so the delay windows and the power waveform are stepped
-    once and priced per load."""
+    once, and every delay step is priced for all loads in one pass."""
     comp = compile_netlist(design.netlist)
+    loads = list(loads_ff)
+    load_maps = [dict.fromkeys(design.loaded_nets(), cl_ff) for cl_ff in loads]
+    caps = _load_caps(comp, model, load_maps)
     windows = _delay_traces(design, comp)
     trace = step_waveforms(comp, power_waveforms(design), design.input_maps(), dt=step_s)
     period = trace.times[-1] - trace.times[0]
@@ -508,10 +577,11 @@ def _bench_rows(
         )
     else:
         label, digits, swing_v, vdd = design.label, 1, design.swing_v, design.vdd
+    area_nm = area(design.netlist)
     rows = []
-    for cl_ff in loads_ff:
-        delays = _delays(design, windows, model, cl_ff)
-        power = dynamic_power(trace, model, period, {name: cl_ff for name in design.loaded_nets()})
+    delays_per_load = _delays(design, windows, model, caps)
+    for cl_ff, loaded, delays in zip(loads, load_maps, delays_per_load):
+        power = dynamic_power(trace, model, period, loaded)
         rows.append(BenchReport(
             design=label,
             radix=design.radix,
@@ -522,7 +592,7 @@ def _bench_rows(
             delays=delays,
             power_w=power,
             pdp_j=pdp(power, delays.cin_cout),
-            area_nm=area(design.netlist),
+            area_nm=area_nm,
         ))
     return tuple(rows)
 

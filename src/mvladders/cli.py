@@ -108,6 +108,14 @@ def _check_loads(loads: Sequence[float]) -> None:
             raise SpecError(f"--cl must be a finite load >= 0 fF, got {cl:g}")
 
 
+def _verify(design: FullAdder | Cpa):
+    """verify_design, with a request it refuses (too large) as a usage error."""
+    try:
+        return verify_design(design)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
+
+
 def _print_verify(report) -> ExitStatus:
     status = "PASS" if report.ok else "FAIL"
     print(
@@ -126,13 +134,13 @@ def _print_verify(report) -> ExitStatus:
 
 def _cmd_verify(args) -> ExitStatus:
     design = parse_design_spec(args.design)
-    return _print_verify(verify_design(design))
+    return _print_verify(_verify(design))
 
 
 def _cmd_bench(args) -> ExitStatus:
     _check_loads([args.cl])
     design = parse_design_spec(args.design)
-    report = verify_design(design)
+    report = _verify(design)
     if not report.ok:
         return _print_verify(report)
     model = TimingModel.default()
@@ -146,7 +154,7 @@ def _cmd_bench(args) -> ExitStatus:
 def _cmd_sweep(args) -> ExitStatus:
     _check_loads(args.cl)
     design = parse_design_spec(args.design)
-    report = verify_design(design)
+    report = _verify(design)
     if not report.ok:
         return _print_verify(report)
     model = TimingModel.default()

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -245,6 +246,48 @@ def test_bench_does_not_depend_on_hash_seed():
         for seed in ("1", "3")
     ]
     assert outs[0] == outs[1] != ""
+
+
+def test_load_batching_is_bit_exact(model, single_stage_designs):
+    # every load column of one batched pricing pass has the bits of a
+    # one-load pass: the Elmore sums must not depend on the number of loads
+    cpas = [
+        build_cpa(CpaConfig(variant, 2, CarrySwing.FULL))
+        for variant in (AdderVariant.BFA1_14T, AdderVariant.TFA2, AdderVariant.QFA2)
+    ]
+    loads = (0.25, 2.0, 4.0)
+    for design in (*single_stage_designs, *cpas):
+        rows = sweep_load(design, model, loads).rows
+        assert len(rows) == len(loads)
+        for load, row in zip(loads, rows):
+            assert row == bench(design, model, load), (row.design, load)
+
+
+@pytest.mark.parametrize("load", [-5.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "bench",
+        "sweep_load",
+        "worst_case_delays",
+        "path_delay cl_ff",
+        "path_delay loads_ff",
+        "dynamic_power",
+    ],
+)
+def test_bad_load_is_refused(model, entry, load):
+    fa = build_full_adder(AdderVariant.BFA1_14T)
+    trace = step_waveforms(build(GateKind("Inverter")), {"a": [0, 1]})
+    call = {
+        "bench": lambda: bench(fa, model, load),
+        "sweep_load": lambda: sweep_load(fa, model, (1.0, load)),
+        "worst_case_delays": lambda: worst_case_delays(fa, model, load),
+        "path_delay cl_ff": lambda: path_delay(trace, model, "a", "y", cl_ff=load),
+        "path_delay loads_ff": lambda: path_delay(trace, model, "a", "y", loads_ff={"y": load}),
+        "dynamic_power": lambda: dynamic_power(trace, model, 1e-9, {"y": load}),
+    }[entry]
+    with pytest.raises(AnalysisError, match=f"got {load:g}$"):
+        call()
 
 
 def test_energy_model_definition(model):

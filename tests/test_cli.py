@@ -1,8 +1,10 @@
 import io
 import sys
+import tracemalloc
 
 import pytest
 
+from mvladders import solver
 from mvladders.analysis import CSV_HEADER
 from mvladders.cli import ExitStatus, main, parse_design_spec
 
@@ -47,6 +49,25 @@ def test_verify_rejects_non_finite_vdd(spec, vdd):
     assert status == ExitStatus.BAD_REQUEST
     assert out == ""
     assert "vdd must be a finite voltage" in err
+
+
+def test_verify_refuses_oversize_request(monkeypatch):
+    # 2 * 3^14 vectors over 186 nets: a ~14 GB value table, refused before
+    # any column is built
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(solver, "solve_dc_batch", no_solve)
+    tracemalloc.start()
+    try:
+        status, out, err = run_cli(["verify", "tfa2,digits=7"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == ExitStatus.BAD_REQUEST
+    assert out == ""
+    assert "9,565,938 vectors" in err and "256 MiB" in err
+    assert peak < 16 * 2**20
 
 
 def test_bench_csv_and_label():
