@@ -46,7 +46,6 @@ from .adders import (
     build_cpa,
     build_full_adder,
     verify_design,
-    verify_exhaustive,
 )
 from .analysis import (
     BenchReport,

@@ -1,6 +1,12 @@
 """The seven full-adder designs, the N-digit CPA composer, and exhaustive
 verification against the arithmetic oracle.
 
+A single-digit :class:`FullAdder` and an N-digit :class:`Cpa` describe
+themselves the same way: the digit count, label, supply, carry-1 voltage and
+the names of their A, B, sum, carry-in and carry-out ports.  Verification,
+timing, power and the CLI read that description and never test the type;
+:func:`verify_design` is the one exhaustive verifier.
+
 All m-valued designs share one scheme: sum candidates S0/S1 are the input A
 and its cyclic successors selected by B, the complemented conditional
 carries C0b/C1b come from the same select network over detector outputs,
@@ -23,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .device import Polarity
-from .logic import CarrySwing, VoltageMap, check_radix, value_to_digits
+from .logic import FULL_SWING_BAND, CarrySwing, VoltageMap, value_to_digits
 from .netlist import Netlist, NetlistBuilder, flatten
 from .gates import (
     DEFAULT_N,
@@ -34,6 +40,7 @@ from .gates import (
     emit_mux4_branches,
     emit_quaternary_selects,
     emit_tgate,
+    mux2_chiralities,
     supply_name,
 )
 from . import solver
@@ -45,7 +52,6 @@ __all__ = [
     "Cpa",
     "build_full_adder",
     "build_cpa",
-    "verify_exhaustive",
     "verify_design",
     "VerifyReport",
     "all_single_stage_designs",
@@ -55,7 +61,7 @@ __all__ = [
 # carry path stays within striking distance of the full-swing version.
 _LOW_VTH_N = 37
 
-# The largest [vectors x nets] float64 table verify_exhaustive may ask the
+# The largest [vectors x nets] float64 table verify_design may ask the
 # solver for; larger requests are refused before anything is built.
 _MAX_TABLE_BYTES = 256 * 2**20
 
@@ -74,24 +80,49 @@ class AdderVariant(enum.Enum):
         return {"T": 3, "Q": 4, "B": 2}[self.value[0]]
 
     @property
-    def is_mux_style(self) -> bool:
-        return self in (
-            AdderVariant.TFA1,
-            AdderVariant.TFA2,
-            AdderVariant.QFA1,
-            AdderVariant.QFA2,
-            AdderVariant.BFA3_MUX,
-        )
+    def default_swing(self) -> CarrySwing:
+        """QFA1 is the reduced-carry-swing adder; every other variant
+        defaults to a full-swing carry."""
+        return CarrySwing.REDUCED if self is AdderVariant.QFA1 else CarrySwing.FULL
+
+
+class _Design:
+    """What every design exposes: ``radix``, ``digits``, ``label``, ``vdd``,
+    the carry-1 voltage ``swing_v``, the ``netlist`` (flat) and its
+    ``hierarchical`` source, and its port names: ``a_ports``, ``b_ports``
+    and ``s_ports`` (least significant digit first), ``cin_port``,
+    ``cout_port``, and ``carry_nets``, the carry each stage drives.  The
+    voltage maps and the loaded nets are written once from those."""
+
+    def input_maps(self) -> dict[str, VoltageMap]:
+        maps = dict.fromkeys(self.a_ports + self.b_ports, VoltageMap(self.vdd, self.radix))
+        maps[self.cin_port] = VoltageMap(self.swing_v, 2)
+        return maps
+
+    def output_maps(self) -> dict[str, VoltageMap]:
+        maps = dict.fromkeys(self.s_ports, VoltageMap(self.vdd, self.radix))
+        maps[self.cout_port] = VoltageMap(self.swing_v, 2)
+        return maps
+
+    def loaded_nets(self) -> tuple[str, ...]:
+        """Every stage output, which carries the load in timing and power:
+        the sums plus the carries, rippling ones included."""
+        return self.s_ports + self.carry_nets
 
 
 @dataclass(frozen=True)
-class FullAdder:
+class FullAdder(_Design):
     """A built single-digit adder plus the configuration that shaped it."""
 
     variant: AdderVariant
     carry_swing: CarrySwing
     vdd: float
     netlist: Netlist
+
+    digits = 1
+    a_ports, b_ports, s_ports = ("A",), ("B",), ("Sum",)
+    cin_port, cout_port = "Cin", "Cout"
+    carry_nets = ("Cout",)
 
     @property
     def radix(self) -> int:
@@ -105,19 +136,9 @@ class FullAdder:
     def label(self) -> str:
         return f"{self.variant.value}[{self.carry_swing.value},{self.vdd:g}V]"
 
-    def input_maps(self) -> dict[str, VoltageMap]:
-        digit = VoltageMap(self.vdd, self.radix)
-        return {"A": digit, "B": digit, "Cin": VoltageMap(self.swing_v, 2)}
-
-    def output_maps(self) -> dict[str, VoltageMap]:
-        return {
-            "Sum": VoltageMap(self.vdd, self.radix),
-            "Cout": VoltageMap(self.swing_v, 2),
-        }
-
-    def loaded_nets(self) -> tuple[str, ...]:
-        """The outputs, which carry the load in timing and power."""
-        return tuple(n.name for n in self.netlist.outputs)
+    @property
+    def hierarchical(self) -> Netlist:
+        return self.netlist
 
 
 def build_full_adder(
@@ -129,7 +150,7 @@ def build_full_adder(
     if not math.isfinite(vdd):
         raise ValueError(f"vdd must be a finite voltage, got {vdd}")
     if carry_swing is None:
-        carry_swing = CarrySwing.REDUCED if variant is AdderVariant.QFA1 else CarrySwing.FULL
+        carry_swing = variant.default_swing
     if variant is AdderVariant.QFA1 and carry_swing is not CarrySwing.REDUCED:
         raise ValueError("QFA1 is the reduced-carry-swing quaternary adder")
     if variant is AdderVariant.QFA2 and carry_swing is not CarrySwing.FULL:
@@ -144,7 +165,7 @@ def build_full_adder(
     if variant in (AdderVariant.TFA1, AdderVariant.TFA2):
         _build_ternary_mux(b, variant, carry_swing, vdd)
     elif variant in (AdderVariant.QFA1, AdderVariant.QFA2):
-        _build_quaternary_mux(b, carry_swing, vdd)
+        _build_quaternary_mux(b, variant, carry_swing, vdd)
     elif variant is AdderVariant.BFA1_14T:
         _build_bfa1(b, vdd)
     elif variant is AdderVariant.BFA2_28T:
@@ -155,14 +176,28 @@ def build_full_adder(
     return FullAdder(variant, carry_swing, vdd, netlist)
 
 
-def _carry_cell_plan(radix: int, carry_swing: CarrySwing, vdd: float) -> dict:
-    """Chirality and supply choices for the Cin complement and Cout restorer."""
+def _carry_cell_plan(variant: AdderVariant, carry_swing: CarrySwing, vdd: float) -> dict:
+    """Chirality and supply choices for the Cin complement, the carry mux
+    and the Cout restorer.
+
+    The carry mux has the device sequence of ``emit_mux2``: N by cin and P
+    by cinb from c1b, N by cinb and P by cin from c0b.  TFA1, the compact
+    variant, uses n=10 on each of these that a full-swing signal gates.
+    """
+    radix = variant.radix
     swing_v = carry_swing.carry_high_v(radix, vdd)
-    if carry_swing is CarrySwing.FULL or radix == 2:
-        return {"swing_v": swing_v, "cinb": ("inv", DEFAULT_N, DEFAULT_N), "cout_n": DEFAULT_N}
+    n_sel, p_sel = mux2_chiralities(vdd, swing_v)
+    if variant is AdderVariant.TFA1:
+        full = carry_swing is CarrySwing.FULL
+        carry_mux = (10, 10, 10, 10) if full else (n_sel, 10, 10, p_sel)
+    else:
+        carry_mux = (n_sel, DEFAULT_N, DEFAULT_N, p_sel)
+    plan = {"swing_v": swing_v, "carry_mux": carry_mux}
+    if carry_swing is CarrySwing.FULL:
+        return plan | {"cinb": ("inv", DEFAULT_N, DEFAULT_N), "cout_n": DEFAULT_N}
     if radix == 3:
-        return {"swing_v": swing_v, "cinb": ("det", "NTI"), "cout_n": _LOW_VTH_N}
-    return {"swing_v": swing_v, "cinb": ("det", "QDetLow"), "cout_n": _LOW_VTH_N}
+        return plan | {"cinb": ("det", "NTI"), "cout_n": _LOW_VTH_N}
+    return plan | {"cinb": ("det", "QDetLow"), "cout_n": _LOW_VTH_N}
 
 
 def _emit_carry_tail(
@@ -174,21 +209,27 @@ def _emit_carry_tail(
     cin: str,
     sum_out: str,
     cout: str,
-    radix: int,
+    variant: AdderVariant,
     carry_swing: CarrySwing,
     vdd: float,
 ) -> None:
     """Shared MUX2-on-Cin stage: sum select plus restored carry output."""
-    plan = _carry_cell_plan(radix, carry_swing, vdd)
+    plan = _carry_cell_plan(variant, carry_swing, vdd)
     swing_v = plan["swing_v"]
     cinb = b.fresh("cinb")
     if plan["cinb"][0] == "inv":
         emit_inverter(b, cin, cinb, vdd, plan["cinb"][1], plan["cinb"][2])
     else:
         emit_detector(b, plan["cinb"][1], cin, cinb, vdd)
-    emit_mux2(b, s0, s1, cin, cinb, sum_out, vdd, sel_swing=swing_v, data_radix=radix)
+    emit_mux2(b, s0, s1, cin, cinb, sum_out, vdd, sel_swing=swing_v, data_radix=variant.radix)
     coutb = b.fresh("coutb")
-    emit_mux2(b, c0b, c1b, cin, cinb, coutb, vdd, sel_swing=swing_v)
+    for polarity, n, gate, data in zip(
+        (Polarity.N, Polarity.P, Polarity.N, Polarity.P),
+        plan["carry_mux"],
+        (cin, cinb, cinb, cin),
+        (c1b, c1b, c0b, c0b),
+    ):
+        b.add_device(polarity, n, gate, data, coutb)
     emit_inverter(b, coutb, cout, swing_v, n_n=plan["cout_n"], n_p=plan["cout_n"])
 
 
@@ -270,47 +311,12 @@ def _build_ternary_mux(
         emit_mux3_branches(b, (vdd_net, ap, an), c0b, bsel, "c0b")
         emit_mux3_branches(b, (ap, an, gnd), c1b, bsel, "c1b")
 
-    if compact:
-        _emit_carry_tail_compact(b, c0b, c1b, s0, s1, cin, sum_out, cout, carry_swing, vdd)
-    else:
-        _emit_carry_tail(b, c0b, c1b, s0, s1, cin, sum_out, cout, 3, carry_swing, vdd)
+    _emit_carry_tail(b, c0b, c1b, s0, s1, cin, sum_out, cout, variant, carry_swing, vdd)
 
 
-def _emit_carry_tail_compact(
-    b: NetlistBuilder,
-    c0b: str,
-    c1b: str,
-    s0: str,
-    s1: str,
-    cin: str,
-    sum_out: str,
-    cout: str,
-    carry_swing: CarrySwing,
-    vdd: float,
+def _build_quaternary_mux(
+    b: NetlistBuilder, variant: AdderVariant, carry_swing: CarrySwing, vdd: float
 ) -> None:
-    """TFA1 tail: same topology, n=10 switches on the binary carry mux."""
-    plan = _carry_cell_plan(3, carry_swing, vdd)
-    swing_v = plan["swing_v"]
-    cinb = b.fresh("cinb")
-    if plan["cinb"][0] == "inv":
-        emit_inverter(b, cin, cinb, vdd)
-    else:
-        emit_detector(b, plan["cinb"][1], cin, cinb, vdd)
-    emit_mux2(b, s0, s1, cin, cinb, sum_out, vdd, sel_swing=swing_v)
-    coutb = b.fresh("coutb")
-    if carry_swing is CarrySwing.FULL:
-        emit_tgate(b, c1b, coutb, en=cin, enb=cinb, n_n=10, n_p=10)
-        emit_tgate(b, c0b, coutb, en=cinb, enb=cin, n_n=10, n_p=10)
-    else:
-        # N by the reduced select needs the low threshold; both P stay at n=10
-        b.add_device(Polarity.N, DEFAULT_N, cin, c1b, coutb)
-        b.add_device(Polarity.P, 10, cinb, c1b, coutb)
-        b.add_device(Polarity.N, 10, cinb, c0b, coutb)
-        b.add_device(Polarity.P, 10, cin, c0b, coutb)
-    emit_inverter(b, coutb, cout, swing_v, n_n=plan["cout_n"], n_p=plan["cout_n"])
-
-
-def _build_quaternary_mux(b: NetlistBuilder, carry_swing: CarrySwing, vdd: float) -> None:
     a = b.add_input("A", 4)
     bb = b.add_input("B", 4)
     cin = b.add_input("Cin", 2)
@@ -345,7 +351,7 @@ def _build_quaternary_mux(b: NetlistBuilder, carry_swing: CarrySwing, vdd: float
     emit_mux4_branches(b, (vdd_net, ap, ai, an), c0b, bsel, "c0b")
     emit_mux4_branches(b, (ap, ai, an, gnd), c1b, bsel, "c1b")
 
-    _emit_carry_tail(b, c0b, c1b, s0, s1, cin, sum_out, cout, 4, carry_swing, vdd)
+    _emit_carry_tail(b, c0b, c1b, s0, s1, cin, sum_out, cout, variant, carry_swing, vdd)
 
 
 def _build_bfa1(b: NetlistBuilder, vdd: float) -> None:
@@ -508,13 +514,15 @@ class CpaConfig:
 
 
 @dataclass(frozen=True)
-class Cpa:
+class Cpa(_Design):
     """A chained carry-propagate adder; carries ripple Cout_i -> Cin_{i+1}."""
 
     config: CpaConfig
     stage: FullAdder
     hierarchical: Netlist
     netlist: Netlist
+
+    cin_port, cout_port = "C0", "C_final"
 
     @property
     def radix(self) -> int:
@@ -523,6 +531,18 @@ class Cpa:
     @property
     def digits(self) -> int:
         return self.config.digits
+
+    @property
+    def label(self) -> str:
+        return self.config.label
+
+    @property
+    def vdd(self) -> float:
+        return self.config.vdd
+
+    @property
+    def swing_v(self) -> float:
+        return self.stage.swing_v
 
     @property
     def a_ports(self) -> tuple[str, ...]:
@@ -539,22 +559,6 @@ class Cpa:
     @property
     def carry_nets(self) -> tuple[str, ...]:
         return tuple(f"c{i}" for i in range(1, self.digits)) + ("C_final",)
-
-    def input_maps(self) -> dict[str, VoltageMap]:
-        digit = VoltageMap(self.config.vdd, self.radix)
-        maps = {p: digit for p in self.a_ports + self.b_ports}
-        maps["C0"] = VoltageMap(self.stage.swing_v, 2)
-        return maps
-
-    def output_maps(self) -> dict[str, VoltageMap]:
-        digit = VoltageMap(self.config.vdd, self.radix)
-        maps = {p: digit for p in self.s_ports}
-        maps["C_final"] = VoltageMap(self.stage.swing_v, 2)
-        return maps
-
-    def loaded_nets(self) -> tuple[str, ...]:
-        """Every stage output: the sums plus the rippling carry nets."""
-        return self.s_ports + self.carry_nets
 
 
 def build_cpa(config: CpaConfig) -> Cpa:
@@ -611,37 +615,17 @@ class VerifyReport:
         return self.failures == 0 and self.conflicts == 0 and self.nonconverged == 0
 
 
-def verify_exhaustive(
-    netlist: Netlist,
-    radix: int,
-    digits: int,
-    *,
-    vdd: float | None = None,
-    carry_high_v: float | None = None,
-    label: str | None = None,
-) -> VerifyReport:
-    """Drive every (A, B, carry-in) combination and check the addition
-    identity value(A) + value(B) + cin == value(S) + radix^digits * cout.
+def verify_design(design: FullAdder | Cpa) -> VerifyReport:
+    """Drive every (A, B, carry-in) combination through the design's ports,
+    at its own digit and carry voltages, and check the addition identity
+    value(A) + value(B) + cin == value(S) + radix^digits * cout.
 
     Output digits must decode with full swing; conflicts, non-convergence
     and floating outputs all count against the design.  A request whose
     ``[vectors x nets]`` value table would exceed 256 MiB is a ValueError.
     """
-    check_radix(radix)
-    comp = solver.compile_netlist(netlist)
-    if vdd is None:
-        vdd = netlist.max_supply_v()
-    if carry_high_v is None:
-        carry_high_v = vdd
-    if digits == 1:
-        a_ports, b_ports, cin_port = ("A",), ("B",), "Cin"
-        s_ports, cout_port = ("Sum",), "Cout"
-    else:
-        a_ports = tuple(f"A{i}" for i in range(digits))
-        b_ports = tuple(f"B{i}" for i in range(digits))
-        cin_port = "C0"
-        s_ports = tuple(f"S{i}" for i in range(digits))
-        cout_port = "C_final"
+    radix, digits, vdd, carry_high_v = design.radix, design.digits, design.vdd, design.swing_v
+    comp = solver.compile_netlist(design.netlist)
 
     span = radix**digits
     n_vec = span * span * 2
@@ -656,14 +640,14 @@ def verify_exhaustive(
 
     digit_step = vdd / (radix - 1)
     columns: dict[str, np.ndarray] = {}
-    for i, port in enumerate(a_ports):
+    for i, port in enumerate(design.a_ports):
         columns[port] = ((a_vals // radix**i) % radix) * digit_step
-    for i, port in enumerate(b_ports):
+    for i, port in enumerate(design.b_ports):
         columns[port] = ((b_vals // radix**i) % radix) * digit_step
-    columns[cin_port] = cin_vals * carry_high_v
+    columns[design.cin_port] = cin_vals * carry_high_v
 
     result = solver.solve_dc_batch(comp, columns)
-    band = 0.05 * vdd
+    band = FULL_SWING_BAND * vdd
 
     def decode(port: str, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v = result.values[:, comp.index[port]]
@@ -678,18 +662,18 @@ def verify_exhaustive(
 
     sum_value = np.zeros(n_vec, dtype=np.int64)
     decode_ok = np.ones(n_vec, dtype=bool)
-    for i, port in enumerate(s_ports):
+    for i, port in enumerate(design.s_ports):
         digit, ok = decode(port, digit_levels)
         sum_value += digit * radix**i
         decode_ok &= ok
-    cout_digit, cout_ok = decode(cout_port, carry_levels)
+    cout_digit, cout_ok = decode(design.cout_port, carry_levels)
     decode_ok &= cout_ok
 
     expected = a_vals + b_vals + cin_vals
     got = sum_value + span * cout_digit
     fail = ~decode_ok | (got != expected) | result.conflict | result.nonconverged
 
-    out_idx = [comp.index[p] for p in (*s_ports, cout_port)]
+    out_idx = [comp.index[p] for p in (*design.s_ports, design.cout_port)]
     floating_rows = np.isnan(result.values[:, out_idx]).any(axis=1)
 
     samples = []
@@ -703,34 +687,13 @@ def verify_exhaustive(
             + (" [floating]" if floating_rows[v] else "")
         )
     return VerifyReport(
-        design=label or netlist.name,
+        design=design.label,
         vectors=n_vec,
         failures=int(fail.sum()),
         conflicts=int(result.conflict.sum()),
         nonconverged=int(result.nonconverged.sum()),
         floating_outputs=int(floating_rows.sum()),
         failure_samples=tuple(samples),
-    )
-
-
-def verify_design(design: FullAdder | Cpa) -> VerifyReport:
-    """Exhaustive verification with the design's own voltage configuration."""
-    if isinstance(design, FullAdder):
-        return verify_exhaustive(
-            design.netlist,
-            design.radix,
-            1,
-            vdd=design.vdd,
-            carry_high_v=design.swing_v,
-            label=design.label,
-        )
-    return verify_exhaustive(
-        design.netlist,
-        design.radix,
-        design.digits,
-        vdd=design.config.vdd,
-        carry_high_v=design.stage.swing_v,
-        label=design.config.label,
     )
 
 

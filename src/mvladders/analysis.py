@@ -43,7 +43,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -116,14 +116,6 @@ class TimingModel:
         overdrive = 0.9 - threshold_voltage_v(19)
         rho = _REFERENCE_DELAY_S * overdrive / (_REFERENCE_LOAD_F + 2 * c_diff)
         return cls(rho_ohm_v=rho, c_diff_f=c_diff)
-
-    def scaled(self, rho: float = 1.0, caps: float = 1.0) -> "TimingModel":
-        return replace(
-            self,
-            rho_ohm_v=self.rho_ohm_v * rho,
-            c_gate_f=self.c_gate_f * caps,
-            c_diff_f=self.c_diff_f * caps,
-        )
 
 
 def area(netlist: Netlist) -> float:
@@ -384,22 +376,14 @@ def _staircase(radix: int) -> list[int]:
     return list(range(radix)) + list(range(radix - 2, -1, -1))
 
 
-def _design_parts(design: FullAdder | Cpa):
-    """(a/b/cin step ports, constants, sum/cout targets)."""
-    if isinstance(design, FullAdder):
-        return "A", "B", "Cin", {}, "Sum", "Cout"
-    const = {}
-    for i in range(1, design.digits):
-        const[f"A{i}"] = design.radix - 1  # propagate context for upper digits
-        const[f"B{i}"] = 0
-    return "A0", "B0", "C0", const, f"S{design.digits - 1}", "C_final"
-
-
 def _delay_windows(design: FullAdder | Cpa) -> Iterable[tuple[str, dict[str, list[int]]]]:
     """(stepped input, waveform dict) covering every single-input adjacent
     transition in every context, plus the up-down staircases."""
-    a_port, b_port, cin_port, const, _, _ = _design_parts(design)
+    a_port, b_port, cin_port = design.a_ports[0], design.b_ports[0], design.cin_port
     radix = design.radix
+    const = {}  # every digit above the lowest holds propagate
+    for a_upper, b_upper in zip(design.a_ports[1:], design.b_ports[1:]):
+        const[a_upper], const[b_upper] = radix - 1, 0
 
     def widen(active: dict[str, list[int]], steps: int) -> dict[str, list[int]]:
         wave = {name: [lvl] * steps for name, lvl in const.items()}
@@ -441,14 +425,13 @@ def _delays(
 ) -> list[DelayQuad]:
     """Per-path maxima over the stepped delay windows, one quad per load
     column of ``caps``."""
-    _, _, cin_port, _, sum_t, cout_t = _design_parts(design)
     comp = windows[0][1].comp
     best = {path: [0.0] * caps.shape[1] for path in ("in_cout", "in_sum", "cin_cout", "cin_sum")}
-    targets = [comp.index[sum_t], comp.index[cout_t]]
+    targets = [comp.index[design.s_ports[-1]], comp.index[design.cout_port]]
     for stepped, trace in windows:
         steps = [k for k in range(1, len(trace)) if stepped in trace.stepped[k]]
         t_sum, t_cout = _worst_settle(trace, model, caps, steps, targets)
-        prefix = "cin" if stepped == cin_port else "in"
+        prefix = "cin" if stepped == design.cin_port else "in"
         best[f"{prefix}_sum"] = list(map(max, best[f"{prefix}_sum"], t_sum))
         best[f"{prefix}_cout"] = list(map(max, best[f"{prefix}_cout"], t_cout))
     return [DelayQuad(**dict(zip(best, quad))) for quad in zip(*best.values())]
@@ -496,10 +479,10 @@ def pdp(power_w: float, delay_s: float) -> float:
 
 
 def power_waveforms(design: FullAdder | Cpa) -> dict[str, list[int]]:
-    """The shared benchmark waveform suite: an up-down staircase on A, then
-    on B, then a carry-in pulse train in a propagate context.  Each phase
-    spans the same number of steps so every input gets equal exercise."""
-    a_port, b_port, cin_port, const, _, _ = _design_parts(design)
+    """The shared benchmark waveform suite: an up-down staircase on every A
+    digit, then on every B digit, then a carry-in pulse train in a
+    propagate context.  Each phase spans the same number of steps so every
+    input gets equal exercise."""
     radix = design.radix
     stair = _staircase(radix)
     zeros = [0] * len(stair)
@@ -509,17 +492,11 @@ def power_waveforms(design: FullAdder | Cpa) -> dict[str, list[int]]:
     wave_a = stair + zeros + [a_star] * len(pulses)
     wave_b = zeros + stair + [b_star] * len(pulses)
     wave_c = [0] * (2 * len(stair)) + pulses
-    steps = len(wave_a)
-    waves = {name: [lvl] * steps for name, lvl in const.items()}
-    if isinstance(design, Cpa):
-        for i in range(design.digits):
-            waves[f"A{i}"] = list(wave_a)
-            waves[f"B{i}"] = list(wave_b)
-        waves[cin_port] = wave_c
-    else:
-        waves[a_port] = wave_a
-        waves[b_port] = wave_b
-        waves[cin_port] = wave_c
+    waves = {}
+    for a_port, b_port in zip(design.a_ports, design.b_ports):
+        waves[a_port] = list(wave_a)
+        waves[b_port] = list(wave_b)
+    waves[design.cin_port] = wave_c
     return waves
 
 
@@ -571,23 +548,17 @@ def _bench_rows(
     windows = _delay_traces(design, comp)
     trace = step_waveforms(comp, power_waveforms(design), design.input_maps(), dt=step_s)
     period = trace.times[-1] - trace.times[0]
-    if isinstance(design, Cpa):
-        label, digits, swing_v, vdd = (
-            design.config.label, design.digits, design.stage.swing_v, design.config.vdd
-        )
-    else:
-        label, digits, swing_v, vdd = design.label, 1, design.swing_v, design.vdd
     area_nm = area(design.netlist)
     rows = []
     delays_per_load = _delays(design, windows, model, caps)
     for cl_ff, loaded, delays in zip(loads, load_maps, delays_per_load):
         power = dynamic_power(trace, model, period, loaded)
         rows.append(BenchReport(
-            design=label,
+            design=design.label,
             radix=design.radix,
-            digits=digits,
-            swing_v=swing_v,
-            vdd_v=vdd,
+            digits=design.digits,
+            swing_v=design.swing_v,
+            vdd_v=design.vdd,
             cl_ff=cl_ff,
             delays=delays,
             power_w=power,

@@ -29,7 +29,7 @@ from .adders import (
 from .analysis import CSV_HEADER, MODEL_NOTE, TimingModel, bench, sweep_load
 from .logic import CarrySwing, VoltageMap
 from .netlist import NetlistError, ParseError, flatten, parse, serialize
-from .solver import NonConvergenceError, solve_dc
+from .solver import NonConvergenceError, default_input_maps, solve_dc
 
 __all__ = ["main", "ExitStatus", "parse_design_spec"]
 
@@ -93,9 +93,7 @@ def parse_design_spec(spec: str) -> FullAdder | Cpa:
     try:
         if digits == 1:
             return build_full_adder(variant, swing, vdd)
-        if swing is None:
-            swing = CarrySwing.REDUCED if variant is AdderVariant.QFA1 else CarrySwing.FULL
-        return build_cpa(CpaConfig(variant, digits, swing, vdd))
+        return build_cpa(CpaConfig(variant, digits, swing or variant.default_swing, vdd))
     except ValueError as exc:
         raise SpecError(str(exc)) from None
 
@@ -297,10 +295,7 @@ def _cmd_compare(args) -> ExitStatus:
 
 def _cmd_dump(args) -> ExitStatus:
     design = parse_design_spec(args.design)
-    if isinstance(design, FullAdder):
-        sys.stdout.write(serialize(design.netlist))
-    else:
-        sys.stdout.write(serialize(design.hierarchical))
+    sys.stdout.write(serialize(design.hierarchical))
     return ExitStatus.OK
 
 
@@ -334,7 +329,7 @@ def _cmd_run(args) -> ExitStatus:
         return ExitStatus.BAD_REQUEST
     nl = flatten(parse(text))
     vdd = nl.max_supply_v()
-    in_maps = {n.name: VoltageMap(vdd, n.radix) for n in nl.inputs}
+    in_maps = default_input_maps(nl)
     try:
         assignment = _parse_assignment(args.inputs or "", in_maps)
     except (SpecError, ValueError) as exc:

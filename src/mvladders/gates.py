@@ -33,7 +33,6 @@ __all__ = [
     "build",
     "behavioral_table",
     "input_ports",
-    "output_port",
     "supply_name",
     "mux2_chiralities",
     "emit_inverter",
@@ -45,8 +44,6 @@ __all__ = [
     "emit_quaternary_selects",
     "emit_mux4_branches",
     "build_tgate_chain",
-    "subckt_text",
-    "representative_kinds",
 ]
 
 DEFAULT_N = 19
@@ -382,28 +379,6 @@ def input_ports(kind: GateKind) -> tuple[tuple[str, int], ...]:
     raise ValueError(f"unknown gate kind {kind.name!r}")
 
 
-def output_port(kind: GateKind) -> tuple[str, int]:
-    tables = {
-        "Inverter": ("y", 2),
-        "NTI": ("y", 3),
-        "PTI": ("y", 3),
-        "QDetLow": ("y", 4),
-        "QDetMid": ("y", 4),
-        "QDetHigh": ("y", 4),
-        "Buffer": ("y", 2),
-        "TGate": ("y", kind.data_radix),
-        "Mux2": ("y", kind.data_radix),
-        "Mux3Ternary": ("y", 3),
-        "Mux4Quaternary": ("y", 4),
-        "SuccTernary": ("y", 3),
-        "SuccQuaternary": ("y", 4),
-        "Nand2": ("y", 2),
-        "Nor2": ("y", 2),
-        "Xor2": ("y", 2),
-    }
-    return tables[kind.name]
-
-
 def behavioral_table(kind: GateKind) -> dict[tuple[int, ...], int]:
     """The oracle each built kind is verified against, total on its domain.
 
@@ -454,42 +429,6 @@ def _behavior(kind: GateKind, combo: tuple[int, ...]) -> int:
     if name == "Xor2":
         return combo[0] ^ combo[1]
     raise ValueError(f"unknown gate kind {name!r}")
-
-
-def subckt_text(kind: GateKind) -> str:
-    """The kind as a SUBCKT block in the text netlist format."""
-    from .netlist import serialize_subckt
-
-    return serialize_subckt(build(kind))
-
-
-def representative_kinds() -> tuple[GateKind, ...]:
-    """One instance of every kind (plus the parameter variants worth testing)."""
-    return (
-        GateKind("Inverter"),
-        GateKind("Inverter", vdd=0.45),
-        GateKind("NTI"),
-        GateKind("PTI"),
-        GateKind("QDetLow"),
-        GateKind("QDetMid"),
-        GateKind("QDetHigh"),
-        GateKind("Buffer"),
-        GateKind("TGate", data_radix=3),
-        GateKind("TGate", data_radix=4),
-        GateKind("Mux2", data_radix=2),
-        GateKind("Mux2", data_radix=3, sel_swing=0.45),
-        GateKind("Mux2", data_radix=4, sel_swing=0.3),
-        GateKind("Mux3Ternary"),
-        GateKind("Mux4Quaternary"),
-        GateKind("SuccTernary", k=1),
-        GateKind("SuccTernary", k=2),
-        GateKind("SuccQuaternary", k=1),
-        GateKind("SuccQuaternary", k=2),
-        GateKind("SuccQuaternary", k=3),
-        GateKind("Nand2"),
-        GateKind("Nor2"),
-        GateKind("Xor2"),
-    )
 
 
 # --------------------------------------------------------------------------

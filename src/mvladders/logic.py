@@ -91,10 +91,6 @@ class CarrySwing(enum.Enum):
             return vdd / (radix - 1)
         return vdd
 
-    def carry_map(self, radix: int, vdd: float) -> VoltageMap:
-        """Binary voltage map whose high level is the carry-1 voltage."""
-        return VoltageMap(self.carry_high_v(radix, vdd), 2)
-
 
 def full_adder_oracle(radix: int, a: int, b: int, cin: int) -> tuple[int, int]:
     """One digit position of addition; the carry out is always 0 or 1."""

@@ -124,7 +124,6 @@ class CompiledNetlist:
     dev_d: tuple[int, ...]
     supply_v: dict[int, float]
     input_idx: tuple[int, ...]
-    output_idx: tuple[int, ...]
 
     @property
     def n_nets(self) -> int:
@@ -172,7 +171,6 @@ def compile_netlist(nl: Netlist) -> CompiledNetlist:
         dev_d=tuple(index[d.drain] for d in nl.devices),
         supply_v={index[n.name]: n.voltage for n in nl.supplies},
         input_idx=tuple(index[n.name] for n in nl.inputs),
-        output_idx=tuple(index[n.name] for n in nl.outputs),
     )
 
 
@@ -613,30 +611,19 @@ def _no_fixed_point(comp: CompiledNetlist) -> str:
     )
 
 
-def solve_dc(
-    nl: Netlist | CompiledNetlist,
-    inputs: Mapping[str, float],
-    *,
-    warm: Mapping[str, float] | None = None,
-) -> DcState:
+def solve_dc(nl: Netlist | CompiledNetlist, inputs: Mapping[str, float]) -> DcState:
     """Solve one input vector to the conduction fixed point, as a one-row
-    :func:`solve_dc_batch`.
-
-    ``warm`` supplies charge retention: a net that ends up floating keeps
-    its previous voltage in the recorded state.  Retained charge is
-    bookkeeping only; it never gates a device (floating counts as unknown,
-    and unknown-terminal devices default to non-conducting), so the fixed
-    point always runs from the optimistic monotone start.
-    """
+    :func:`solve_dc_batch`."""
     comp = _as_compiled(nl)
     batch = solve_dc_batch(comp, {name: [volts] for name, volts in inputs.items()})
     if batch.nonconverged[0]:
         raise NonConvergenceError(_no_fixed_point(comp))
-    values, driven = batch.values[0].tolist(), batch.driven[0].tolist()
-    if warm:
-        values = [v if on else warm.get(n, v) for n, v, on in zip(comp.names, values, driven)]
     return _dc_state(
-        comp, values, driven, _conflict_groups(comp, batch).get(0, ()), batch.iterations
+        comp,
+        batch.values[0].tolist(),
+        batch.driven[0].tolist(),
+        _conflict_groups(comp, batch).get(0, ()),
+        batch.iterations,
     )
 
 

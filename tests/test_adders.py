@@ -1,15 +1,20 @@
+import hashlib
 import itertools
+import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from mvladders.adders import (
     AdderVariant,
     CpaConfig,
+    all_single_stage_designs,
     build_cpa,
     build_full_adder,
     verify_design,
-    verify_exhaustive,
 )
+from mvladders.cli import _COMPARE_CONFIGS
 from mvladders.logic import CarrySwing, full_adder_oracle
 from mvladders.netlist import parse, serialize
 from mvladders.solver import solve_dc
@@ -161,12 +166,52 @@ def test_quaternary_cpa_spot():
     assert outs["C_final"].decode(state.voltage("C_final")) == 1
 
 
+@pytest.mark.parametrize(
+    "variant, swing",
+    [
+        (AdderVariant.TFA2, CarrySwing.FULL),
+        (AdderVariant.QFA1, CarrySwing.REDUCED),
+        (AdderVariant.BFA1_14T, CarrySwing.FULL),
+    ],
+    ids=lambda v: v.value,
+)
+def test_one_digit_cpa_verifies(variant, swing):
+    # a 1-digit CPA keeps its C0/S0/C_final ports; verification must use them
+    cpa = build_cpa(CpaConfig(variant, 1, swing))
+    report = verify_design(cpa)
+    assert report.ok, report.failure_samples
+    assert report.vectors == 2 * variant.radix**2
+    assert report.design == cpa.label
+
+
+def _netlist_digest(design) -> str:
+    """sha256 of the flat netlist's nets and devices, in order, and of the
+    serialized hierarchical netlist."""
+    h = hashlib.sha256()
+    for net in design.netlist.nets.values():
+        h.update(f"net {net.name} {net.role.value} {net.voltage!r} {net.radix!r}\n".encode())
+    for d in design.netlist.devices:
+        h.update(
+            f"device {d.spec.polarity.value} {d.spec.chirality_n} "
+            f"{d.gate} {d.source} {d.drain}\n".encode()
+        )
+    h.update(serialize(design.hierarchical).encode())
+    return h.hexdigest()
+
+
+def test_netlists_match_recorded_digests():
+    # any renamed, reordered or resized device or net changes a digest
+    recorded = json.loads((Path(__file__).parent / "golden" / "netlist_digests.json").read_text())
+    designs = [*all_single_stage_designs(), *map(build_cpa, _COMPARE_CONFIGS)]
+    assert {d.label: _netlist_digest(d) for d in designs} == recorded
+
+
 def test_verify_exhaustive_reports_failures():
     # a wrong netlist must be reported, not masked: swap the sum mux data
     fa = build_full_adder(AdderVariant.BFA3_MUX)
     bad_text = serialize(fa.netlist).replace("g=cinb s=s0 d=Sum", "g=cinb s=s1 d=Sum")
     bad = parse(bad_text)
-    report = verify_exhaustive(bad, 2, 1, vdd=0.9, carry_high_v=0.9)
+    report = verify_design(replace(fa, netlist=bad))
     assert report.failures > 0
 
 

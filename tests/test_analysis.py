@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,15 @@ from mvladders.gates import GateKind, build, build_tgate_chain
 from mvladders.logic import CarrySwing
 from mvladders.netlist import parse
 from mvladders.solver import compile_netlist, step_waveforms
+
+
+def scaled_model(model: TimingModel, rho: float = 1.0, caps: float = 1.0) -> TimingModel:
+    return replace(
+        model,
+        rho_ohm_v=model.rho_ohm_v * rho,
+        c_gate_f=model.c_gate_f * caps,
+        c_diff_f=model.c_diff_f * caps,
+    )
 
 
 def test_default_calibration():
@@ -73,7 +83,7 @@ def test_restoration_beats_chain(model):
 def test_rho_scale_law(model, designs_by_label):
     fa = designs_by_label["TFA2[full,0.9V]"]
     base = worst_case_delays(fa, model, 2.0)
-    scaled = worst_case_delays(fa, model.scaled(rho=3.0), 2.0)
+    scaled = worst_case_delays(fa, scaled_model(model, rho=3.0), 2.0)
     for path in ("in_cout", "in_sum", "cin_cout", "cin_sum"):
         assert getattr(scaled, path) == pytest.approx(3.0 * getattr(base, path))
     # power is independent of rho
@@ -81,7 +91,7 @@ def test_rho_scale_law(model, designs_by_label):
     trace = step_waveforms(fa.netlist, waves, fa.input_maps())
     span = trace.times[-1]
     assert dynamic_power(trace, model, span) == pytest.approx(
-        dynamic_power(trace, model.scaled(rho=3.0), span)
+        dynamic_power(trace, scaled_model(model, rho=3.0), span)
     )
 
 
@@ -89,7 +99,7 @@ def test_cap_scale_law(model, designs_by_label):
     fa = designs_by_label["TFA2[full,0.9V]"]
     s = 2.0
     base = worst_case_delays(fa, model, 2.0)
-    scaled = worst_case_delays(fa, model.scaled(caps=s), 2.0 * s)
+    scaled = worst_case_delays(fa, scaled_model(model, caps=s), 2.0 * s)
     for path in ("in_cout", "in_sum", "cin_cout", "cin_sum"):
         assert getattr(scaled, path) == pytest.approx(s * getattr(base, path))
     waves = power_waveforms(fa)
@@ -98,7 +108,7 @@ def test_cap_scale_law(model, designs_by_label):
     loads = {"Sum": 2.0, "Cout": 2.0}
     loads_scaled = {"Sum": 2.0 * s, "Cout": 2.0 * s}
     e1 = dynamic_power(trace, model, span, loads)
-    e2 = dynamic_power(trace, model.scaled(caps=s), span, loads_scaled)
+    e2 = dynamic_power(trace, scaled_model(model, caps=s), span, loads_scaled)
     assert e2 == pytest.approx(s * e1)
 
 

@@ -8,14 +8,64 @@ from mvladders.gates import (
     build_tgate_chain,
     input_ports,
     mux2_chiralities,
-    output_port,
-    representative_kinds,
 )
 from mvladders.logic import FULL_SWING_BAND, VoltageMap
+from mvladders.netlist import serialize_subckt
 from mvladders.solver import solve_dc
 
 # Complement ports the behavioral table hides; the harness derives them.
 _COMPLEMENTS = {"en": "enb", "s": "sb"}
+
+
+def output_port(kind: GateKind) -> tuple[str, int]:
+    tables = {
+        "Inverter": ("y", 2),
+        "NTI": ("y", 3),
+        "PTI": ("y", 3),
+        "QDetLow": ("y", 4),
+        "QDetMid": ("y", 4),
+        "QDetHigh": ("y", 4),
+        "Buffer": ("y", 2),
+        "TGate": ("y", kind.data_radix),
+        "Mux2": ("y", kind.data_radix),
+        "Mux3Ternary": ("y", 3),
+        "Mux4Quaternary": ("y", 4),
+        "SuccTernary": ("y", 3),
+        "SuccQuaternary": ("y", 4),
+        "Nand2": ("y", 2),
+        "Nor2": ("y", 2),
+        "Xor2": ("y", 2),
+    }
+    return tables[kind.name]
+
+
+def representative_kinds() -> tuple[GateKind, ...]:
+    """One instance of every kind (plus the parameter variants worth testing)."""
+    return (
+        GateKind("Inverter"),
+        GateKind("Inverter", vdd=0.45),
+        GateKind("NTI"),
+        GateKind("PTI"),
+        GateKind("QDetLow"),
+        GateKind("QDetMid"),
+        GateKind("QDetHigh"),
+        GateKind("Buffer"),
+        GateKind("TGate", data_radix=3),
+        GateKind("TGate", data_radix=4),
+        GateKind("Mux2", data_radix=2),
+        GateKind("Mux2", data_radix=3, sel_swing=0.45),
+        GateKind("Mux2", data_radix=4, sel_swing=0.3),
+        GateKind("Mux3Ternary"),
+        GateKind("Mux4Quaternary"),
+        GateKind("SuccTernary", k=1),
+        GateKind("SuccTernary", k=2),
+        GateKind("SuccQuaternary", k=1),
+        GateKind("SuccQuaternary", k=2),
+        GateKind("SuccQuaternary", k=3),
+        GateKind("Nand2"),
+        GateKind("Nor2"),
+        GateKind("Xor2"),
+    )
 
 
 def _drive(kind: GateKind, combo) -> dict[str, float]:
@@ -141,9 +191,7 @@ def test_chain_fixture_shapes():
 
 
 def test_kind_subckt_export():
-    from mvladders.gates import subckt_text
-
-    text = subckt_text(GateKind("SuccTernary", k=2))
+    text = serialize_subckt(build(GateKind("SuccTernary", k=2)))
     assert text.startswith("SUBCKT succternary a y")
     assert text.rstrip().endswith("ENDS")
     assert "DEVICE" in text
