@@ -7,7 +7,7 @@ test suite runs, shown here for a few interesting kinds.
 
 from mvladders.gates import GateKind, behavioral_table, build, input_ports
 from mvladders.logic import VoltageMap
-from mvladders.solver import solve_dc
+from mvladders.solver import solve_dc, solve_dc_batch
 
 # Threshold detectors: binary outputs from multi-valued inputs.
 for name in ("NTI", "PTI", "QDetLow", "QDetMid", "QDetHigh"):
@@ -36,19 +36,22 @@ for name, radix in (("SuccTernary", 3), ("SuccQuaternary", 4)):
 
 print()
 
-# A 4:1 mux with quaternary control, checked against its table everywhere.
+# A 4:1 mux with quaternary control, checked against its table everywhere:
+# all 1,024 input combinations are solved in one batch.
 kind = GateKind("Mux4Quaternary")
 nl = build(kind)
 table = behavioral_table(kind)
 vmap = VoltageMap(0.9, 4)
-failures = 0
-for combo, expected in table.items():
-    inputs = {
-        port: vmap.volts(level) for (port, _), level in zip(input_ports(kind), combo)
-    }
-    state = solve_dc(nl, inputs)
-    got = vmap.decode(state.voltage("y"))
-    failures += got != expected
+columns = {
+    port: [vmap.volts(combo[i]) for combo in table]
+    for i, (port, _) in enumerate(input_ports(kind))
+}
+batch = solve_dc_batch(nl, columns)
+outs = batch.values[:, batch.names.index("y")].tolist()
+failures = sum(
+    bad or vmap.decode(volts) != expected
+    for volts, bad, expected in zip(outs, batch.conflict | batch.nonconverged, table.values())
+)
 print(
     f"Mux4Quaternary ({nl.device_count}T): {len(table)} input combinations, "
     f"{failures} disagreements with the behavioral table"

@@ -36,9 +36,11 @@ from .gates import (
     emit_inverter,
     emit_detector,
     emit_mux2,
-    emit_mux3_branches,
-    emit_mux4_branches,
+    emit_mux_branches,
+    emit_nand2,
+    emit_nor2,
     emit_quaternary_selects,
+    emit_ternary_selects,
     emit_tgate,
     mux2_chiralities,
     supply_name,
@@ -233,30 +235,30 @@ def _emit_carry_tail(
     emit_inverter(b, coutb, cout, swing_v, n_n=plan["cout_n"], n_p=plan["cout_n"])
 
 
+def _stage_nets(b: NetlistBuilder, radix: int, vdd: float) -> tuple[str, ...]:
+    """Declare a stage's ports and its two rails: A, B, Cin, Sum, Cout, vdd
+    and gnd, in that order."""
+    return (
+        b.add_input("A", radix),
+        b.add_input("B", radix),
+        b.add_input("Cin", 2),
+        b.add_output("Sum", radix),
+        b.add_output("Cout", 2),
+        b.add_supply(supply_name(vdd), vdd),
+        b.add_supply(supply_name(0.0), 0.0),
+    )
+
+
 def _build_ternary_mux(
     b: NetlistBuilder, variant: AdderVariant, carry_swing: CarrySwing, vdd: float
 ) -> None:
-    a = b.add_input("A", 3)
-    bb = b.add_input("B", 3)
-    cin = b.add_input("Cin", 2)
-    sum_out = b.add_output("Sum", 3)
-    cout = b.add_output("Cout", 2)
+    a, bb, cin, sum_out, cout, vdd_net, gnd = _stage_nets(b, 3, vdd)
+    half = b.add_supply(supply_name(vdd / 2), vdd / 2)
     compact = variant is AdderVariant.TFA1
     inv_n = 10 if compact else DEFAULT_N
 
-    vdd_net = b.add_supply(supply_name(vdd), vdd)
-    gnd = b.add_supply(supply_name(0.0), 0.0)
-    half = b.add_supply(supply_name(vdd / 2), vdd / 2)
-
-    an = b.fresh("an")
-    ap = b.fresh("ap")
-    anb = b.fresh("anb")
-    apb = b.fresh("apb")
-    emit_detector(b, "NTI", a, an, vdd)
-    emit_detector(b, "PTI", a, ap, vdd)
-    emit_inverter(b, an, anb, vdd, inv_n, inv_n)
-    emit_inverter(b, ap, apb, vdd, inv_n, inv_n)
-    asel = {"sn": an, "sp": ap, "snb": anb, "spb": apb}
+    asel = emit_ternary_selects(b, a, "a", vdd, inv_n)
+    (an, anb), (ap, apb) = asel
 
     a1 = b.fresh("a1")
     a2 = b.fresh("a2")
@@ -275,23 +277,16 @@ def _build_ternary_mux(
         b.add_device(Polarity.N, 10, ap, m, a2)
         emit_tgate(b, half, a2, en=apb, enb=ap)
     else:
-        emit_mux3_branches(b, (half, vdd_net, gnd), a1, asel, "a1")
-        emit_mux3_branches(b, (vdd_net, gnd, half), a2, asel, "a2")
+        emit_mux_branches(b, (half, vdd_net, gnd), a1, asel, "a1")
+        emit_mux_branches(b, (vdd_net, gnd, half), a2, asel, "a2")
 
-    bn = b.fresh("bn")
-    bp = b.fresh("bp")
-    bnb = b.fresh("bnb")
-    bpb = b.fresh("bpb")
-    emit_detector(b, "NTI", bb, bn, vdd)
-    emit_detector(b, "PTI", bb, bp, vdd)
-    emit_inverter(b, bn, bnb, vdd, inv_n, inv_n)
-    emit_inverter(b, bp, bpb, vdd, inv_n, inv_n)
-    bsel = {"sn": bn, "sp": bp, "snb": bnb, "spb": bpb}
+    bsel = emit_ternary_selects(b, bb, "b", vdd, inv_n)
+    (bn, bnb), (bp, bpb) = bsel
 
     s0 = b.fresh("s0")
     s1 = b.fresh("s1")
-    emit_mux3_branches(b, (a, a1, a2), s0, bsel, "s0")
-    emit_mux3_branches(b, (a1, a2, a), s1, bsel, "s1")
+    emit_mux_branches(b, (a, a1, a2), s0, bsel, "s0")
+    emit_mux_branches(b, (a1, a2, a), s1, bsel, "s1")
 
     c0b = b.fresh("c0b")
     c1b = b.fresh("c1b")
@@ -308,8 +303,8 @@ def _build_ternary_mux(
         emit_tgate(b, m, c1b, en=bp, enb=bpb, n_n=10, n_p=10)
         b.add_device(Polarity.N, 10, bpb, gnd, c1b)
     else:
-        emit_mux3_branches(b, (vdd_net, ap, an), c0b, bsel, "c0b")
-        emit_mux3_branches(b, (ap, an, gnd), c1b, bsel, "c1b")
+        emit_mux_branches(b, (vdd_net, ap, an), c0b, bsel, "c0b")
+        emit_mux_branches(b, (ap, an, gnd), c1b, bsel, "c1b")
 
     _emit_carry_tail(b, c0b, c1b, s0, s1, cin, sum_out, cout, variant, carry_swing, vdd)
 
@@ -317,25 +312,18 @@ def _build_ternary_mux(
 def _build_quaternary_mux(
     b: NetlistBuilder, variant: AdderVariant, carry_swing: CarrySwing, vdd: float
 ) -> None:
-    a = b.add_input("A", 4)
-    bb = b.add_input("B", 4)
-    cin = b.add_input("Cin", 2)
-    sum_out = b.add_output("Sum", 4)
-    cout = b.add_output("Cout", 2)
-
-    vdd_net = b.add_supply(supply_name(vdd), vdd)
-    gnd = b.add_supply(supply_name(0.0), 0.0)
+    a, bb, cin, sum_out, cout, vdd_net, gnd = _stage_nets(b, 4, vdd)
     third = b.add_supply(supply_name(vdd / 3), vdd / 3)
     two_thirds = b.add_supply(supply_name(2 * vdd / 3), 2 * vdd / 3)
 
-    asel_raw = emit_quaternary_selects(b, a, "a", vdd, buffered=False)
-    an, ai, ap = asel_raw["bn"], asel_raw["bi"], asel_raw["bp"]
+    asel = emit_quaternary_selects(b, a, "a", vdd, buffered=False)
+    (an, _), (ai, _), (ap, _) = asel
     a_succ = []
     rails = {0: gnd, 1: third, 2: two_thirds, 3: vdd_net}
     for k in (1, 2, 3):
         y = b.fresh(f"a{k}")
         data = tuple(rails[(digit + k) % 4] for digit in range(4))
-        emit_mux4_branches(b, data, y, asel_raw, f"a{k}")
+        emit_mux_branches(b, data, y, asel, f"a{k}")
         a_succ.append(y)
     a1, a2, a3 = a_succ
 
@@ -343,13 +331,13 @@ def _build_quaternary_mux(
 
     s0 = b.fresh("s0")
     s1 = b.fresh("s1")
-    emit_mux4_branches(b, (a, a1, a2, a3), s0, bsel, "s0")
-    emit_mux4_branches(b, (a1, a2, a3, a), s1, bsel, "s1")
+    emit_mux_branches(b, (a, a1, a2, a3), s0, bsel, "s0")
+    emit_mux_branches(b, (a1, a2, a3, a), s1, bsel, "s1")
 
     c0b = b.fresh("c0b")
     c1b = b.fresh("c1b")
-    emit_mux4_branches(b, (vdd_net, ap, ai, an), c0b, bsel, "c0b")
-    emit_mux4_branches(b, (ap, ai, an, gnd), c1b, bsel, "c1b")
+    emit_mux_branches(b, (vdd_net, ap, ai, an), c0b, bsel, "c0b")
+    emit_mux_branches(b, (ap, ai, an, gnd), c1b, bsel, "c1b")
 
     _emit_carry_tail(b, c0b, c1b, s0, s1, cin, sum_out, cout, variant, carry_swing, vdd)
 
@@ -359,27 +347,12 @@ def _build_bfa1(b: NetlistBuilder, vdd: float) -> None:
     mux, XOR via an OAI stage.  Complementary gates throughout; the classic
     threshold-drop pass-transistor tricks are not representable under an
     ideal-switch model."""
-    a = b.add_input("A", 2)
-    bb = b.add_input("B", 2)
-    cin = b.add_input("Cin", 2)
-    sum_out = b.add_output("Sum", 2)
-    cout = b.add_output("Cout", 2)
-    vdd_net = b.add_supply(supply_name(vdd), vdd)
-    gnd = b.add_supply(supply_name(0.0), 0.0)
+    a, bb, cin, sum_out, cout, vdd_net, gnd = _stage_nets(b, 2, vdd)
 
     nand = b.fresh("nand_ab")
-    m = b.fresh("nand_m")
-    b.add_device(Polarity.P, DEFAULT_N, a, vdd_net, nand)
-    b.add_device(Polarity.P, DEFAULT_N, bb, vdd_net, nand)
-    b.add_device(Polarity.N, DEFAULT_N, a, m, nand)
-    b.add_device(Polarity.N, DEFAULT_N, bb, gnd, m)
-
+    emit_nand2(b, a, bb, nand, vdd, mid="nand_m")
     nor = b.fresh("nor_ab")
-    m = b.fresh("nor_m")
-    b.add_device(Polarity.P, DEFAULT_N, a, vdd_net, m)
-    b.add_device(Polarity.P, DEFAULT_N, bb, m, nor)
-    b.add_device(Polarity.N, DEFAULT_N, a, gnd, nor)
-    b.add_device(Polarity.N, DEFAULT_N, bb, gnd, nor)
+    emit_nor2(b, a, bb, nor, vdd, mid="nor_m")
 
     # h = NOT(nor + a*b) = a XOR b
     h = b.fresh("h")
@@ -405,13 +378,7 @@ def _build_bfa1(b: NetlistBuilder, vdd: float) -> None:
 
 def _build_bfa2(b: NetlistBuilder, vdd: float) -> None:
     """The classic complementary 28-transistor (mirror) adder."""
-    a = b.add_input("A", 2)
-    bb = b.add_input("B", 2)
-    cin = b.add_input("Cin", 2)
-    sum_out = b.add_output("Sum", 2)
-    cout = b.add_output("Cout", 2)
-    vdd_net = b.add_supply(supply_name(vdd), vdd)
-    gnd = b.add_supply(supply_name(0.0), 0.0)
+    a, bb, cin, sum_out, cout, vdd_net, gnd = _stage_nets(b, 2, vdd)
 
     coutb = b.fresh("coutb")
     k = b.fresh("cb_k")
@@ -456,13 +423,7 @@ def _build_bfa2(b: NetlistBuilder, vdd: float) -> None:
 
 def _build_bfa3(b: NetlistBuilder, vdd: float) -> None:
     """MUX-approach binary adder, same circuit style as the m-valued ones."""
-    a = b.add_input("A", 2)
-    bb = b.add_input("B", 2)
-    cin = b.add_input("Cin", 2)
-    sum_out = b.add_output("Sum", 2)
-    cout = b.add_output("Cout", 2)
-    vdd_net = b.add_supply(supply_name(vdd), vdd)
-    gnd = b.add_supply(supply_name(0.0), 0.0)
+    a, bb, cin, sum_out, cout, vdd_net, gnd = _stage_nets(b, 2, vdd)
 
     ab = b.fresh("ab")
     bbb = b.fresh("bb")

@@ -536,7 +536,7 @@ class BenchReport:
 
 
 def _bench_rows(
-    design: FullAdder | Cpa, model: TimingModel, loads_ff: Iterable[float], step_s: float
+    design: FullAdder | Cpa, model: TimingModel, loads_ff: Iterable[float]
 ) -> tuple[BenchReport, ...]:
     """Bench rows of one design at each load.  The DC traces do not depend
     on the load, so the delay windows and the power waveform are stepped
@@ -546,7 +546,7 @@ def _bench_rows(
     load_maps = [dict.fromkeys(design.loaded_nets(), cl_ff) for cl_ff in loads]
     caps = _load_caps(comp, model, load_maps)
     windows = _delay_traces(design, comp)
-    trace = step_waveforms(comp, power_waveforms(design), design.input_maps(), dt=step_s)
+    trace = step_waveforms(comp, power_waveforms(design), design.input_maps())
     period = trace.times[-1] - trace.times[0]
     area_nm = area(design.netlist)
     rows = []
@@ -568,15 +568,9 @@ def _bench_rows(
     return tuple(rows)
 
 
-def bench(
-    design: FullAdder | Cpa,
-    model: TimingModel,
-    cl_ff: float,
-    *,
-    step_s: float = 1e-9,
-) -> BenchReport:
+def bench(design: FullAdder | Cpa, model: TimingModel, cl_ff: float) -> BenchReport:
     """Delays, power and PDP for one design at one load."""
-    (row,) = _bench_rows(design, model, [cl_ff], step_s)
+    (row,) = _bench_rows(design, model, [cl_ff])
     return row
 
 
@@ -587,10 +581,6 @@ class LoadSweep:
     rows: tuple[BenchReport, ...]
     fits: dict[str, tuple[float, float, float]]  # path -> (slope, intercept, r2); {} below two loads
 
-    @property
-    def loads_ff(self) -> tuple[float, ...]:
-        return tuple(r.cl_ff for r in self.rows)
-
 
 def sweep_load(
     design: FullAdder | Cpa,
@@ -599,7 +589,7 @@ def sweep_load(
 ) -> LoadSweep:
     """Bench at each load; the linear fits need at least two distinct loads
     and are left empty otherwise."""
-    rows = _bench_rows(design, model, loads_ff, step_s=1e-9)
+    rows = _bench_rows(design, model, loads_ff)
     fits: dict[str, tuple[float, float, float]] = {}
     x = np.array([r.cl_ff for r in rows])
     if len(set(x.tolist())) < 2:

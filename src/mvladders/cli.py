@@ -329,6 +329,9 @@ def _cmd_run(args) -> ExitStatus:
         return ExitStatus.BAD_REQUEST
     nl = flatten(parse(text))
     vdd = nl.max_supply_v()
+    if vdd <= 0:
+        print(f"{args.netlist}: no supply above 0 V to scale digits by", file=sys.stderr)
+        return ExitStatus.BAD_REQUEST
     in_maps = default_input_maps(nl)
     try:
         assignment = _parse_assignment(args.inputs or "", in_maps)

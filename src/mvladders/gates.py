@@ -15,12 +15,19 @@ select, the lowest threshold that still passes level 0, and for the P gated
 by the select, a threshold above vdd minus the swing so the off branch
 cannot leak full-rail data.  MUX data paths always use complementary
 transmission gates, never single pass transistors.
+
+The gate kinds and the adders are built from the same emitters: the radix-r
+TGate mux :func:`emit_mux_branches` over the (select, complement) pairs of
+:func:`emit_ternary_selects` or :func:`emit_quaternary_selects`, the MUX2,
+NAND2 and NOR2.  Each kind name is declared once, with its builder and its
+behaviour; a kind's ports are read from the netlist it builds.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .device import Polarity
 from .logic import check_radix, succ as succ_digit, ni as ni_digit, pi as pi_digit
@@ -29,7 +36,6 @@ from .netlist import Netlist, NetlistBuilder
 __all__ = [
     "DEFAULT_N",
     "GateKind",
-    "KIND_NAMES",
     "build",
     "behavioral_table",
     "input_ports",
@@ -39,33 +45,15 @@ __all__ = [
     "emit_tgate",
     "emit_detector",
     "emit_mux2",
+    "emit_nand2",
+    "emit_nor2",
     "emit_ternary_selects",
-    "emit_mux3_branches",
     "emit_quaternary_selects",
-    "emit_mux4_branches",
+    "emit_mux_branches",
     "build_tgate_chain",
 ]
 
 DEFAULT_N = 19
-
-KIND_NAMES = (
-    "Inverter",
-    "NTI",
-    "PTI",
-    "QDetLow",
-    "QDetMid",
-    "QDetHigh",
-    "Buffer",
-    "TGate",
-    "Mux2",
-    "Mux3Ternary",
-    "Mux4Quaternary",
-    "SuccTernary",
-    "SuccQuaternary",
-    "Nand2",
-    "Nor2",
-    "Xor2",
-)
 
 _DETECTOR_PAIRS = {
     "NTI": (19, 10),
@@ -89,7 +77,7 @@ class GateKind:
     data_radix: int = 2
 
     def __post_init__(self) -> None:
-        if self.name not in KIND_NAMES:
+        if self.name not in _KINDS:
             raise ValueError(f"unknown gate kind {self.name!r}")
 
 
@@ -180,203 +168,215 @@ def emit_mux2(
     b.add_device(Polarity.P, p_sel, s, d0, y)
 
 
-def emit_ternary_selects(b: NetlistBuilder, s: str, prefix: str, vdd: float) -> dict[str, str]:
-    sn = b.fresh(f"{prefix}_sn")
-    sp = b.fresh(f"{prefix}_sp")
-    snb = b.fresh(f"{prefix}_snb")
-    spb = b.fresh(f"{prefix}_spb")
+def emit_nand2(b: NetlistBuilder, a: str, bb: str, y: str, vdd_v: float, mid: str = "m") -> None:
+    """Complementary 2-input NAND; ``mid`` names the stack node between the Ns."""
+    vdd = _rail(b, vdd_v)
+    gnd = _rail(b, 0.0)
+    m = b.fresh(mid)
+    b.add_device(Polarity.P, DEFAULT_N, a, vdd, y)
+    b.add_device(Polarity.P, DEFAULT_N, bb, vdd, y)
+    b.add_device(Polarity.N, DEFAULT_N, a, m, y)
+    b.add_device(Polarity.N, DEFAULT_N, bb, gnd, m)
+
+
+def emit_nor2(b: NetlistBuilder, a: str, bb: str, y: str, vdd_v: float, mid: str = "m") -> None:
+    """Complementary 2-input NOR; ``mid`` names the stack node between the Ps."""
+    vdd = _rail(b, vdd_v)
+    gnd = _rail(b, 0.0)
+    m = b.fresh(mid)
+    b.add_device(Polarity.P, DEFAULT_N, a, vdd, m)
+    b.add_device(Polarity.P, DEFAULT_N, bb, m, y)
+    b.add_device(Polarity.N, DEFAULT_N, a, gnd, y)
+    b.add_device(Polarity.N, DEFAULT_N, bb, gnd, y)
+
+
+def emit_ternary_selects(
+    b: NetlistBuilder, s: str, prefix: str, vdd: float, inv_n: int = DEFAULT_N
+) -> list[tuple[str, str]]:
+    """NTI and PTI of ``s`` with their complements, as (select, complement)
+    pairs for :func:`emit_mux_branches`; the nets are ``{prefix}n/p/nb/pb``
+    and the complementing inverters use chirality ``inv_n``."""
+    sn, sp, snb, spb = (b.fresh(f"{prefix}{tag}") for tag in ("n", "p", "nb", "pb"))
     emit_detector(b, "NTI", s, sn, vdd)
     emit_detector(b, "PTI", s, sp, vdd)
-    emit_inverter(b, sn, snb, vdd)
-    emit_inverter(b, sp, spb, vdd)
-    return {"sn": sn, "sp": sp, "snb": snb, "spb": spb}
-
-
-def emit_mux3_branches(
-    b: NetlistBuilder, data: tuple[str, str, str], y: str, sel: dict[str, str], prefix: str
-) -> None:
-    d0, d1, d2 = data
-    emit_tgate(b, d0, y, en=sel["sn"], enb=sel["snb"])
-    mid = b.fresh(f"{prefix}_m1")
-    emit_tgate(b, d1, mid, en=sel["snb"], enb=sel["sn"])
-    emit_tgate(b, mid, y, en=sel["sp"], enb=sel["spb"])
-    emit_tgate(b, d2, y, en=sel["spb"], enb=sel["sp"])
+    emit_inverter(b, sn, snb, vdd, inv_n, inv_n)
+    emit_inverter(b, sp, spb, vdd, inv_n, inv_n)
+    return [(sn, snb), (sp, spb)]
 
 
 def emit_quaternary_selects(
     b: NetlistBuilder, s: str, prefix: str, vdd: float, buffered: bool = True
-) -> dict[str, str]:
-    sigs: dict[str, str] = {}
+) -> list[tuple[str, str]]:
+    """The three quaternary detectors of ``s`` as (select, complement) pairs."""
+    pairs = []
     for tag, det in (("n", "QDetLow"), ("i", "QDetMid"), ("p", "QDetHigh")):
         raw = b.fresh(f"{prefix}_b{tag}")
         emit_detector(b, det, s, raw, vdd)
         inv1 = b.fresh(f"{prefix}_b{tag}b")
         emit_inverter(b, raw, inv1, vdd)
-        sigs[f"b{tag}b"] = inv1
         if buffered:
             # detectors drive many gates; the double inverter is the buffered copy
             inv2 = b.fresh(f"{prefix}_b{tag}bb")
             emit_inverter(b, inv1, inv2, vdd)
-            sigs[f"b{tag}"] = inv2
+            pairs.append((inv2, inv1))
         else:
-            sigs[f"b{tag}"] = raw
-    return sigs
+            pairs.append((raw, inv1))
+    return pairs
 
 
-def emit_mux4_branches(
-    b: NetlistBuilder, data: tuple[str, str, str, str], y: str, sel: dict[str, str], prefix: str
+def emit_mux_branches(
+    b: NetlistBuilder,
+    data: Sequence[str],
+    y: str,
+    selects: Sequence[tuple[str, str]],
+    prefix: str,
 ) -> None:
-    d0, d1, d2, d3 = data
-    emit_tgate(b, d0, y, en=sel["bn"], enb=sel["bnb"])
-    mid1 = b.fresh(f"{prefix}_m1")
-    emit_tgate(b, d1, mid1, en=sel["bnb"], enb=sel["bn"])
-    emit_tgate(b, mid1, y, en=sel["bi"], enb=sel["bib"])
-    mid2 = b.fresh(f"{prefix}_m2")
-    emit_tgate(b, d2, mid2, en=sel["bib"], enb=sel["bi"])
-    emit_tgate(b, mid2, y, en=sel["bp"], enb=sel["bpb"])
-    emit_tgate(b, d3, y, en=sel["bpb"], enb=sel["bp"])
-
-
-def _succ_rails(radix: int, k: int, vdd: float) -> tuple[float, ...]:
-    return tuple(succ_digit(radix, a, k) * vdd / (radix - 1) for a in range(radix))
+    """Radix-r TGate mux: ``selects`` holds the r - 1 (select, complement)
+    pairs of the detectors, each high below its switching level.  Digit 0
+    passes while the first select is high, digit r - 1 while the last is
+    low, and each middle digit through two series TGates between them."""
+    s, sb = selects[0]
+    emit_tgate(b, data[0], y, en=s, enb=sb)
+    for j in range(1, len(selects)):
+        (lo, lob), (hi, hib) = selects[j - 1], selects[j]
+        mid = b.fresh(f"{prefix}_m{j}")
+        emit_tgate(b, data[j], mid, en=lob, enb=lo)
+        emit_tgate(b, mid, y, en=hi, enb=hib)
+    s, sb = selects[-1]
+    emit_tgate(b, data[-1], y, en=sb, enb=s)
 
 
 # --------------------------------------------------------------------------
-# kind builders
+# gate kinds: one builder and one behaviour per kind name
+
+_Builder = Callable[[NetlistBuilder, "GateKind"], None]
+
+
+def _inverter(b: NetlistBuilder, kind: GateKind) -> None:
+    a = b.add_input("a", 2)
+    emit_inverter(b, a, b.add_output("y", 2), kind.vdd, kind.n_chirality, kind.p_chirality)
+
+
+def _detector(b: NetlistBuilder, kind: GateKind) -> None:
+    radix = 3 if kind.name in ("NTI", "PTI") else 4
+    a = b.add_input("a", radix)
+    emit_detector(b, kind.name, a, b.add_output("y", radix), kind.vdd)
+
+
+def _buffer(b: NetlistBuilder, kind: GateKind) -> None:
+    a = b.add_input("a", 2)
+    y = b.add_output("y", 2)
+    mid = b.add_internal("m")
+    emit_inverter(b, a, mid, kind.vdd)
+    emit_inverter(b, mid, y, kind.vdd)
+
+
+def _tgate(b: NetlistBuilder, kind: GateKind) -> None:
+    check_radix(kind.data_radix)
+    d = b.add_input("d", kind.data_radix)
+    en = b.add_input("en", 2)
+    enb = b.add_input("enb", 2)
+    y = b.add_output("y", kind.data_radix)
+    _rail(b, 0.0)
+    emit_tgate(b, d, y, en, enb, kind.n_chirality, kind.p_chirality)
+
+
+def _mux2(b: NetlistBuilder, kind: GateKind) -> None:
+    check_radix(kind.data_radix)
+    d0 = b.add_input("d0", kind.data_radix)
+    d1 = b.add_input("d1", kind.data_radix)
+    s = b.add_input("s", 2)
+    sb = b.add_input("sb", 2)
+    y = b.add_output("y", kind.data_radix)
+    _rail(b, 0.0)
+    emit_mux2(b, d0, d1, s, sb, y, kind.vdd, kind.sel_swing, kind.data_radix)
+
+
+def _selects(
+    b: NetlistBuilder, s: str, radix: int, kind: GateKind, buffered: bool
+) -> list[tuple[str, str]]:
+    name = kind.name.lower()
+    if radix == 3:
+        return emit_ternary_selects(b, s, f"{name}_s", kind.vdd)
+    return emit_quaternary_selects(b, s, name, kind.vdd, buffered)
+
+
+def _mux(radix: int) -> _Builder:
+    def build_mux(b: NetlistBuilder, kind: GateKind) -> None:
+        data = [b.add_input(f"d{i}", radix) for i in range(radix)]
+        s = b.add_input("s", radix)
+        y = b.add_output("y", radix)
+        selects = _selects(b, s, radix, kind, buffered=True)
+        emit_mux_branches(b, data, y, selects, kind.name.lower())
+
+    return build_mux
+
+
+def _succ(radix: int) -> _Builder:
+    def build_succ(b: NetlistBuilder, kind: GateKind) -> None:
+        a = b.add_input("a", radix)
+        y = b.add_output("y", radix)
+        selects = _selects(b, a, radix, kind, buffered=False)
+        levels = (succ_digit(radix, d, kind.k) * kind.vdd / (radix - 1) for d in range(radix))
+        rails = [_rail(b, v) for v in levels]
+        emit_mux_branches(b, rails, y, selects, kind.name.lower())
+
+    return build_succ
+
+
+def _two_input(emit: Callable[..., None]) -> _Builder:
+    def build_gate(b: NetlistBuilder, kind: GateKind) -> None:
+        a = b.add_input("a", 2)
+        bb = b.add_input("b", 2)
+        emit(b, a, bb, b.add_output("y", 2), kind.vdd)
+
+    return build_gate
+
+
+def _xor2(b: NetlistBuilder, a: str, bb: str, y: str, vdd: float) -> None:
+    ab = b.add_internal("ab")
+    bbb = b.add_internal("bbb")
+    emit_inverter(b, a, ab, vdd)
+    emit_inverter(b, bb, bbb, vdd)
+    emit_tgate(b, bb, y, en=ab, enb=a)
+    emit_tgate(b, bbb, y, en=a, enb=ab)
+
+
+# The behaviours are the oracle each built kind is verified against, so they
+# are written from ``logic`` alone.  They take the kind and one digit per
+# input port; None marks a row outside the table (a disabled TGate floats).
+_KINDS: dict[str, tuple[_Builder, Callable[..., int | None]]] = {
+    "Inverter": (_inverter, lambda kind, a: 1 - a),
+    "NTI": (_detector, lambda kind, a: ni_digit(a)),
+    "PTI": (_detector, lambda kind, a: pi_digit(a)),
+    "QDetLow": (_detector, lambda kind, a: 3 if a == 0 else 0),
+    "QDetMid": (_detector, lambda kind, a: 3 if a <= 1 else 0),
+    "QDetHigh": (_detector, lambda kind, a: 3 if a <= 2 else 0),
+    "Buffer": (_buffer, lambda kind, a: a),
+    "TGate": (_tgate, lambda kind, d, en: d if en else None),
+    "Mux2": (_mux2, lambda kind, d0, d1, s: d1 if s else d0),
+    "Mux3Ternary": (_mux(3), lambda kind, *combo: combo[combo[-1]]),
+    "Mux4Quaternary": (_mux(4), lambda kind, *combo: combo[combo[-1]]),
+    "SuccTernary": (_succ(3), lambda kind, a: succ_digit(3, a, kind.k)),
+    "SuccQuaternary": (_succ(4), lambda kind, a: succ_digit(4, a, kind.k)),
+    "Nand2": (_two_input(emit_nand2), lambda kind, a, b: 1 - (a & b)),
+    "Nor2": (_two_input(emit_nor2), lambda kind, a, b: 1 - (a | b)),
+    "Xor2": (_two_input(_xor2), lambda kind, a, b: a ^ b),
+}
 
 
 def build(kind: GateKind) -> Netlist:
     """Build the kind as a flat netlist with named ports."""
     builder = NetlistBuilder()
-    name = kind.name.lower()
-    if kind.name == "Inverter":
-        a = builder.add_input("a", 2)
-        y = builder.add_output("y", 2)
-        emit_inverter(builder, a, y, kind.vdd, kind.n_chirality, kind.p_chirality)
-    elif kind.name in ("NTI", "PTI"):
-        a = builder.add_input("a", 3)
-        y = builder.add_output("y", 3)
-        emit_detector(builder, kind.name, a, y, kind.vdd)
-    elif kind.name in ("QDetLow", "QDetMid", "QDetHigh"):
-        a = builder.add_input("a", 4)
-        y = builder.add_output("y", 4)
-        emit_detector(builder, kind.name, a, y, kind.vdd)
-    elif kind.name == "Buffer":
-        a = builder.add_input("a", 2)
-        y = builder.add_output("y", 2)
-        mid = builder.add_internal("m")
-        emit_inverter(builder, a, mid, kind.vdd)
-        emit_inverter(builder, mid, y, kind.vdd)
-    elif kind.name == "TGate":
-        check_radix(kind.data_radix)
-        d = builder.add_input("d", kind.data_radix)
-        en = builder.add_input("en", 2)
-        enb = builder.add_input("enb", 2)
-        y = builder.add_output("y", kind.data_radix)
-        _rail(builder, 0.0)
-        emit_tgate(builder, d, y, en, enb, kind.n_chirality, kind.p_chirality)
-    elif kind.name == "Mux2":
-        check_radix(kind.data_radix)
-        d0 = builder.add_input("d0", kind.data_radix)
-        d1 = builder.add_input("d1", kind.data_radix)
-        s = builder.add_input("s", 2)
-        sb = builder.add_input("sb", 2)
-        y = builder.add_output("y", kind.data_radix)
-        _rail(builder, 0.0)
-        emit_mux2(builder, d0, d1, s, sb, y, kind.vdd, kind.sel_swing, kind.data_radix)
-    elif kind.name == "Mux3Ternary":
-        d = [builder.add_input(f"d{i}", 3) for i in range(3)]
-        s = builder.add_input("s", 3)
-        y = builder.add_output("y", 3)
-        sel = emit_ternary_selects(builder, s, name, kind.vdd)
-        emit_mux3_branches(builder, tuple(d), y, sel, name)
-    elif kind.name == "Mux4Quaternary":
-        d = [builder.add_input(f"d{i}", 4) for i in range(4)]
-        s = builder.add_input("s", 4)
-        y = builder.add_output("y", 4)
-        sel = emit_quaternary_selects(builder, s, name, kind.vdd)
-        emit_mux4_branches(builder, tuple(d), y, sel, name)
-    elif kind.name == "SuccTernary":
-        a = builder.add_input("a", 3)
-        y = builder.add_output("y", 3)
-        sel = emit_ternary_selects(builder, a, name, kind.vdd)
-        rails = _succ_rails(3, kind.k, kind.vdd)
-        data = tuple(_rail(builder, v) for v in rails)
-        emit_mux3_branches(builder, data, y, sel, name)
-    elif kind.name == "SuccQuaternary":
-        a = builder.add_input("a", 4)
-        y = builder.add_output("y", 4)
-        sel = emit_quaternary_selects(builder, a, name, kind.vdd, buffered=False)
-        rails = _succ_rails(4, kind.k, kind.vdd)
-        data = tuple(_rail(builder, v) for v in rails)
-        emit_mux4_branches(builder, data, y, sel, name)
-    elif kind.name == "Nand2":
-        a = builder.add_input("a", 2)
-        bb = builder.add_input("b", 2)
-        y = builder.add_output("y", 2)
-        vdd = _rail(builder, kind.vdd)
-        gnd = _rail(builder, 0.0)
-        mid = builder.add_internal("m")
-        builder.add_device(Polarity.P, DEFAULT_N, a, vdd, y)
-        builder.add_device(Polarity.P, DEFAULT_N, bb, vdd, y)
-        builder.add_device(Polarity.N, DEFAULT_N, a, mid, y)
-        builder.add_device(Polarity.N, DEFAULT_N, bb, gnd, mid)
-    elif kind.name == "Nor2":
-        a = builder.add_input("a", 2)
-        bb = builder.add_input("b", 2)
-        y = builder.add_output("y", 2)
-        vdd = _rail(builder, kind.vdd)
-        gnd = _rail(builder, 0.0)
-        mid = builder.add_internal("m")
-        builder.add_device(Polarity.P, DEFAULT_N, a, vdd, mid)
-        builder.add_device(Polarity.P, DEFAULT_N, bb, mid, y)
-        builder.add_device(Polarity.N, DEFAULT_N, a, gnd, y)
-        builder.add_device(Polarity.N, DEFAULT_N, bb, gnd, y)
-    elif kind.name == "Xor2":
-        a = builder.add_input("a", 2)
-        bb = builder.add_input("b", 2)
-        y = builder.add_output("y", 2)
-        ab = builder.add_internal("ab")
-        bbb = builder.add_internal("bbb")
-        emit_inverter(builder, a, ab, kind.vdd)
-        emit_inverter(builder, bb, bbb, kind.vdd)
-        emit_tgate(builder, bb, y, en=ab, enb=a)
-        emit_tgate(builder, bbb, y, en=a, enb=ab)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown gate kind {kind.name!r}")
-    return builder.build(name)
-
-
-# --------------------------------------------------------------------------
-# behavioral oracles
+    _KINDS[kind.name][0](builder, kind)
+    return builder.build(kind.name.lower())
 
 
 def input_ports(kind: GateKind) -> tuple[tuple[str, int], ...]:
-    """(port, radix) pairs forming the behavioral-table domain, in key order.
-
-    Complement ports (``enb``, ``sb``) are excluded: harnesses derive them.
-    """
-    if kind.name in ("Inverter", "Buffer"):
-        return (("a", 2),)
-    if kind.name in ("NTI", "PTI"):
-        return (("a", 3),)
-    if kind.name in ("QDetLow", "QDetMid", "QDetHigh"):
-        return (("a", 4),)
-    if kind.name == "TGate":
-        return (("d", kind.data_radix), ("en", 2))
-    if kind.name == "Mux2":
-        return (("d0", kind.data_radix), ("d1", kind.data_radix), ("s", 2))
-    if kind.name == "Mux3Ternary":
-        return (("d0", 3), ("d1", 3), ("d2", 3), ("s", 3))
-    if kind.name == "Mux4Quaternary":
-        return (("d0", 4), ("d1", 4), ("d2", 4), ("d3", 4), ("s", 4))
-    if kind.name == "SuccTernary":
-        return (("a", 3),)
-    if kind.name == "SuccQuaternary":
-        return (("a", 4),)
-    if kind.name in ("Nand2", "Nor2", "Xor2"):
-        return (("a", 2), ("b", 2))
-    raise ValueError(f"unknown gate kind {kind.name!r}")
+    """(port, radix) pairs forming the behavioral-table domain: the built
+    netlist's inputs in order, without the complement ports ``enb`` and
+    ``sb``, which harnesses derive."""
+    return tuple((n.name, n.radix) for n in build(kind).inputs if n.name not in ("enb", "sb"))
 
 
 def behavioral_table(kind: GateKind) -> dict[tuple[int, ...], int]:
@@ -384,51 +384,10 @@ def behavioral_table(kind: GateKind) -> dict[tuple[int, ...], int]:
 
     TGate rows cover the enabled state only; a disabled TGate floats.
     """
-    domain = [range(r) for _, r in input_ports(kind)]
-    table: dict[tuple[int, ...], int] = {}
-    for combo in itertools.product(*domain):
-        table[combo] = _behavior(kind, combo)
-    if kind.name == "TGate":
-        table = {combo: out for combo, out in table.items() if combo[1] == 1}
-    return table
-
-
-def _behavior(kind: GateKind, combo: tuple[int, ...]) -> int:
-    name = kind.name
-    if name == "Inverter":
-        return 1 - combo[0]
-    if name == "NTI":
-        return ni_digit(combo[0])
-    if name == "PTI":
-        return pi_digit(combo[0])
-    if name == "QDetLow":
-        return 3 if combo[0] == 0 else 0
-    if name == "QDetMid":
-        return 3 if combo[0] <= 1 else 0
-    if name == "QDetHigh":
-        return 3 if combo[0] <= 2 else 0
-    if name == "Buffer":
-        return combo[0]
-    if name == "TGate":
-        return combo[0]
-    if name == "Mux2":
-        d0, d1, s = combo
-        return d1 if s else d0
-    if name == "Mux3Ternary":
-        return combo[combo[3]]
-    if name == "Mux4Quaternary":
-        return combo[combo[4]]
-    if name == "SuccTernary":
-        return succ_digit(3, combo[0], kind.k)
-    if name == "SuccQuaternary":
-        return succ_digit(4, combo[0], kind.k)
-    if name == "Nand2":
-        return 1 - (combo[0] & combo[1])
-    if name == "Nor2":
-        return 1 - (combo[0] | combo[1])
-    if name == "Xor2":
-        return combo[0] ^ combo[1]
-    raise ValueError(f"unknown gate kind {name!r}")
+    behave = _KINDS[kind.name][1]
+    domain = itertools.product(*(range(r) for _, r in input_ports(kind)))
+    table = {combo: behave(kind, *combo) for combo in domain}
+    return {combo: out for combo, out in table.items() if out is not None}
 
 
 # --------------------------------------------------------------------------

@@ -69,12 +69,10 @@ class VoltageMap:
         levels = self.levels
         return min(range(self.radix), key=lambda k: abs(levels[k] - volts))
 
-    def decode(self, volts: float, band_v: float | None = None) -> int | None:
+    def decode(self, volts: float) -> int | None:
         """Nearest-level decode; None when outside the full-swing band."""
-        if band_v is None:
-            band_v = FULL_SWING_BAND * self.vdd
         digit = self.nearest(volts)
-        if abs(self.levels[digit] - volts) <= band_v:
+        if abs(self.levels[digit] - volts) <= FULL_SWING_BAND * self.vdd:
             return digit
         return None
 

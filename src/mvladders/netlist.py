@@ -25,6 +25,7 @@ different voltages simply use different names.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -85,8 +86,8 @@ class Net:
         if not _IDENT_RE.match(self.name):
             raise NetlistError(f"invalid net identifier {self.name!r}")
         if self.role is NetRole.SUPPLY:
-            if self.voltage is None:
-                raise NetlistError(f"supply net {self.name!r} needs a voltage")
+            if self.voltage is None or not math.isfinite(self.voltage):
+                raise NetlistError(f"supply net {self.name!r} needs a finite voltage")
         elif self.voltage is not None:
             raise NetlistError(f"net {self.name!r}: only supplies carry a voltage")
         if self.role in (NetRole.INPUT, NetRole.OUTPUT):
@@ -163,29 +164,6 @@ class Netlist:
     def sum_diameter_nm(self) -> float:
         """Total transistor diameter of the devices held directly (not instances)."""
         return sum(diameter_nm(d.spec.chirality_n) for d in self.devices)
-
-    def same_structure(self, other: "Netlist") -> bool:
-        """Structural identity, ignoring netlist names."""
-        if set(self.nets) != set(other.nets):
-            return False
-        for name, net in self.nets.items():
-            o = other.nets[name]
-            if (net.role, net.voltage, net.radix) != (o.role, o.voltage, o.radix):
-                return False
-        if sorted(map(_device_key, self.devices)) != sorted(map(_device_key, other.devices)):
-            return False
-        if self.ports != other.ports:
-            return False
-        if sorted(i.name for i in self.instances) != sorted(i.name for i in other.instances):
-            return False
-        by_name = {i.name: i for i in other.instances}
-        for inst in self.instances:
-            o = by_name[inst.name]
-            if inst.subckt != o.subckt or dict(inst.bindings) != dict(o.bindings):
-                return False
-        if set(self.subckts) != set(other.subckts):
-            return False
-        return all(self.subckts[k].same_structure(other.subckts[k]) for k in self.subckts)
 
 
 def _device_key(d: Device) -> tuple:

@@ -642,10 +642,7 @@ class StepTrace:
     ``values[k - 1, i]`` otherwise.  ``conflicts[k]`` lists the supply
     conflicts of step k and ``stepped[k]`` the inputs whose level changed.
 
-    ``moved``, ``states`` and ``changes`` are views built on first use:
-    ``states[k]`` is step k as a :class:`DcState`, and ``changes[k]`` maps
-    each net whose voltage moved at step k to ``(old, new)``; ``changes[0]``
-    is empty, matching the solved initial vector.
+    ``moved`` is a view built on first use.
     """
 
     comp: CompiledNetlist
@@ -671,29 +668,6 @@ class StepTrace:
         moved = np.zeros(self.values.shape, dtype=bool)
         moved[1:] = ~np.isnan(new) & (np.isnan(old) | (np.abs(new - old) > _EPS))
         return moved
-
-    @cached_property
-    def states(self) -> tuple[DcState, ...]:
-        return tuple(
-            _dc_state(self.comp, values, driven, conflicts, self.iterations)
-            for values, driven, conflicts in zip(
-                self.values.tolist(), self.driven.tolist(), self.conflicts
-            )
-        )
-
-    @cached_property
-    def changes(self) -> tuple[dict[str, tuple[float | None, float]], ...]:
-        names = self.comp.names
-        changes: list[dict[str, tuple[float | None, float]]] = [{}]
-        for k in range(1, len(self)):
-            nets = np.flatnonzero(self.moved[k])
-            old = self.values[k - 1, nets].tolist()
-            new = self.values[k, nets].tolist()
-            changes.append({
-                names[i]: (None if math.isnan(o) else o, n)
-                for i, o, n in zip(nets.tolist(), old, new)
-            })
-        return tuple(changes)
 
 
 def default_input_maps(nl: Netlist) -> dict[str, VoltageMap]:

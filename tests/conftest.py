@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from mvladders.adders import all_single_stage_designs
 from mvladders.analysis import TimingModel
+
+# Every run draws the same examples, so a property test that passes once
+# passes on every run, and one that fails names the same example each time.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -182,6 +182,24 @@ def test_run_parse_error_status(tmp_path):
     assert "unknown directive" in err
 
 
+@pytest.mark.parametrize(
+    "supplies, message",
+    [
+        ("SUPPLY gnd 0\n", "no supply above 0 V"),
+        ("SUPPLY vneg -0.45\nSUPPLY gnd 0\n", "no supply above 0 V"),
+        ("SUPPLY gnd nan\n", "line 1, column 1: supply net 'gnd' needs a finite voltage"),
+        ("SUPPLY gnd 0\nSUPPLY vdd inf\n", "line 2, column 1: supply net 'vdd' needs a finite"),
+    ],
+)
+def test_run_rejects_netlist_without_positive_finite_supply(tmp_path, supplies, message):
+    f = tmp_path / "nosupply.net"
+    f.write_text(supplies + "INPUT a 2\nOUTPUT y 2\nDEVICE N n=19 g=a s=gnd d=y\n")
+    status, out, err = run_cli(["run", str(f), "--inputs", "a=0"])
+    assert status == ExitStatus.BAD_REQUEST
+    assert out == ""
+    assert message in err
+
+
 def test_run_volt_suffix_assignment(tmp_path):
     f = tmp_path / "inv.net"
     f.write_text(

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from mvladders.device import threshold_voltage_v
@@ -9,34 +12,12 @@ from mvladders.gates import (
     input_ports,
     mux2_chiralities,
 )
-from mvladders.logic import FULL_SWING_BAND, VoltageMap
+from mvladders.logic import VoltageMap
 from mvladders.netlist import serialize_subckt
-from mvladders.solver import solve_dc
+from mvladders.solver import solve_dc, solve_dc_batch
 
 # Complement ports the behavioral table hides; the harness derives them.
 _COMPLEMENTS = {"en": "enb", "s": "sb"}
-
-
-def output_port(kind: GateKind) -> tuple[str, int]:
-    tables = {
-        "Inverter": ("y", 2),
-        "NTI": ("y", 3),
-        "PTI": ("y", 3),
-        "QDetLow": ("y", 4),
-        "QDetMid": ("y", 4),
-        "QDetHigh": ("y", 4),
-        "Buffer": ("y", 2),
-        "TGate": ("y", kind.data_radix),
-        "Mux2": ("y", kind.data_radix),
-        "Mux3Ternary": ("y", 3),
-        "Mux4Quaternary": ("y", 4),
-        "SuccTernary": ("y", 3),
-        "SuccQuaternary": ("y", 4),
-        "Nand2": ("y", 2),
-        "Nor2": ("y", 2),
-        "Xor2": ("y", 2),
-    }
-    return tables[kind.name]
 
 
 def representative_kinds() -> tuple[GateKind, ...]:
@@ -68,41 +49,42 @@ def representative_kinds() -> tuple[GateKind, ...]:
     )
 
 
-def _drive(kind: GateKind, combo) -> dict[str, float]:
-    """Voltage assignment for one behavioral-table row."""
-    inputs: dict[str, float] = {}
-    for (port, radix), level in zip(input_ports(kind), combo):
-        if kind.name == "Mux2" and port == "s":
-            swing = kind.sel_swing if kind.sel_swing is not None else kind.vdd
-            inputs[port] = level * swing
-            inputs["sb"] = (1 - level) * kind.vdd
-        elif kind.name == "TGate" and port == "en":
-            inputs[port] = level * kind.vdd
-            inputs["enb"] = (1 - level) * kind.vdd
+def _columns(kind: GateKind, nl, combos) -> dict[str, np.ndarray]:
+    """Input voltage columns for behavioral-table rows; a binary select with
+    a complement port in the netlist also drives that complement."""
+    columns = {}
+    for col, (port, radix) in enumerate(input_ports(kind)):
+        digits = np.array([combo[col] for combo in combos])
+        complement = _COMPLEMENTS.get(port)
+        if complement in nl.nets:
+            swing = kind.sel_swing if port == "s" and kind.sel_swing is not None else kind.vdd
+            columns[port] = digits * swing
+            columns[complement] = (1 - digits) * kind.vdd
         else:
-            inputs[port] = VoltageMap(kind.vdd, radix).volts(level)
-    return inputs
+            columns[port] = digits * kind.vdd / (radix - 1)
+    return columns
 
 
 def _conformance_failures(kind: GateKind) -> list[str]:
+    """Every behavioral-table row solved in one batch; a row fails on no
+    fixed point, a conflict, a floating output or a wrong or unclean
+    decode of the netlist's single output."""
     nl = build(kind)
     table = behavioral_table(kind)
-    out_name, out_radix = output_port(kind)
-    out_map = VoltageMap(kind.vdd, out_radix)
-    band = FULL_SWING_BAND * kind.vdd
+    (out,) = nl.outputs
+    out_map = VoltageMap(kind.vdd, out.radix)
+    batch = solve_dc_batch(nl, _columns(kind, nl, list(table)))
+    volts = batch.values[:, batch.names.index(out.name)].tolist()
     failures = []
-    for combo, expected in table.items():
-        state = solve_dc(nl, _drive(kind, combo))
-        if state.conflicts:
-            failures.append(f"{combo}: conflict {state.conflicts[0]}")
-            continue
-        volts = state.voltage(out_name)
-        if volts is None:
+    for row, (combo, expected) in enumerate(table.items()):
+        if batch.nonconverged[row]:
+            failures.append(f"{combo}: no fixed point")
+        elif batch.conflict[row]:
+            failures.append(f"{combo}: conflict")
+        elif math.isnan(volts[row]):
             failures.append(f"{combo}: output floating")
-            continue
-        got = out_map.decode(volts, band)
-        if got != expected:
-            failures.append(f"{combo}: {volts} V decodes to {got}, want {expected}")
+        elif (got := out_map.decode(volts[row])) != expected:
+            failures.append(f"{combo}: {volts[row]} V decodes to {got}, want {expected}")
     return failures
 
 

@@ -24,6 +24,35 @@ DEVICE N n=19 g=a s=gnd d=y
 """
 
 
+def _device_key(d) -> tuple:
+    return (d.spec.polarity.value, d.spec.chirality_n, d.gate, d.source, d.drain)
+
+
+def _same_structure(nl, other) -> bool:
+    """Structural identity, ignoring netlist names and the order of
+    devices, instances and subcircuits."""
+    if set(nl.nets) != set(other.nets):
+        return False
+    for name, net in nl.nets.items():
+        o = other.nets[name]
+        if (net.role, net.voltage, net.radix) != (o.role, o.voltage, o.radix):
+            return False
+    if sorted(map(_device_key, nl.devices)) != sorted(map(_device_key, other.devices)):
+        return False
+    if nl.ports != other.ports:
+        return False
+    if sorted(i.name for i in nl.instances) != sorted(i.name for i in other.instances):
+        return False
+    by_name = {i.name: i for i in other.instances}
+    for inst in nl.instances:
+        o = by_name[inst.name]
+        if inst.subckt != o.subckt or dict(inst.bindings) != dict(o.bindings):
+            return False
+    if set(nl.subckts) != set(other.subckts):
+        return False
+    return all(_same_structure(nl.subckts[k], other.subckts[k]) for k in nl.subckts)
+
+
 def test_parse_minimal_inverter():
     nl = parse(INVERTER_TEXT)
     assert nl.device_count == 2
@@ -34,7 +63,7 @@ def test_parse_minimal_inverter():
 def test_roundtrip_structural_identity():
     nl = parse(INVERTER_TEXT)
     again = parse(serialize(nl))
-    assert again.same_structure(nl)
+    assert _same_structure(again, nl)
 
 
 def test_serialized_bytes_stable():
@@ -68,6 +97,14 @@ def test_malformed_voltage_error():
         parse("SUPPLY vdd zap\n")
     assert "malformed voltage" in str(err.value)
     assert err.value.line == 1
+
+
+@pytest.mark.parametrize("volts", ["nan", "inf", "-inf"])
+def test_non_finite_supply_voltage_error(volts):
+    with pytest.raises(ParseError) as err:
+        parse(f"SUPPLY gnd 0\nSUPPLY vdd {volts}\n")
+    assert err.value.line == 2
+    assert "supply net 'vdd' needs a finite voltage" in str(err.value)
 
 
 def test_unknown_directive_error():
@@ -206,4 +243,4 @@ def small_netlists(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_netlists())
 def test_roundtrip_property(nl):
-    assert parse(serialize(nl)).same_structure(nl)
+    assert _same_structure(parse(serialize(nl)), nl)

@@ -1,8 +1,10 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvladders.device import CntfetSpec, Polarity
 from mvladders.gates import GateKind, build
@@ -10,6 +12,7 @@ from mvladders.logic import VoltageMap
 from mvladders.netlist import Device, NetlistBuilder
 from mvladders.solver import (
     Conflict,
+    DcState,
     NonConvergenceError,
     SolverError,
     compile_netlist,
@@ -20,6 +23,36 @@ from mvladders.solver import (
     step_windows,
 )
 from switch_reference import reference_solve, reference_step
+
+
+def _states(trace) -> list[DcState]:
+    """Each step of a trace as a DcState; an undriven net with a value holds
+    retained charge."""
+    names = trace.comp.names
+    return [
+        DcState(
+            voltages={n: v for n, v in zip(names, values) if not math.isnan(v)},
+            floating=frozenset(n for n, on in zip(names, driven) if not on),
+            conflicts=conflicts,
+            iterations=trace.iterations,
+        )
+        for values, driven, conflicts in zip(
+            trace.values.tolist(), trace.driven.tolist(), trace.conflicts
+        )
+    ]
+
+
+def _changes(trace) -> list[dict[str, tuple[float | None, float]]]:
+    """For each step, every net whose voltage moved, mapped to (old, new);
+    the first step is empty, matching the solved initial vector."""
+    changes = [{}]
+    for k in range(1, len(trace)):
+        old, new = trace.values[k - 1].tolist(), trace.values[k].tolist()
+        changes.append({
+            trace.comp.names[i]: (None if math.isnan(old[i]) else old[i], new[i])
+            for i in np.flatnonzero(trace.moved[k]).tolist()
+        })
+    return changes
 
 
 def _dev(pol, n):
@@ -124,8 +157,8 @@ def test_step_waveforms_constant_inputs():
     inv = build(GateKind("Inverter"))
     trace = step_waveforms(inv, {"a": [1, 1, 1]})
     assert len(trace) == 3
-    assert all(not c for c in trace.changes)
-    v = [s.voltage("y") for s in trace.states]
+    assert all(not c for c in _changes(trace))
+    v = [s.voltage("y") for s in _states(trace)]
     assert v == [v[0]] * 3
 
 
@@ -133,12 +166,13 @@ def test_step_waveforms_records_deltas_and_retention():
     mux = build(GateKind("Mux3Ternary"))
     waves = {"d0": [0, 0], "d1": [2, 2], "d2": [1, 1], "s": [0, 1]}
     trace = step_waveforms(mux, waves)
-    assert trace.states[0].voltage("y") == pytest.approx(0.0)
-    assert trace.states[1].voltage("y") == pytest.approx(0.9)
-    assert "y" in trace.changes[1]
+    states = _states(trace)
+    assert states[0].voltage("y") == pytest.approx(0.0)
+    assert states[1].voltage("y") == pytest.approx(0.9)
+    assert "y" in _changes(trace)[1]
     # the series midpoint of the disabled branch keeps its old voltage
-    floats = trace.states[1].floating
-    retained = [n for n in floats if trace.states[1].voltage(n) is not None]
+    floats = states[1].floating
+    retained = [n for n in floats if states[1].voltage(n) is not None]
     assert trace.times == (0.0, 1e-9)
 
 
@@ -149,7 +183,7 @@ def test_qfa2_staircase_sum_trace():
     waves = {"A": [0, 1, 2, 3, 2, 1, 0], "B": [0] * 7, "Cin": [0] * 7}
     trace = step_waveforms(fa.netlist, waves, fa.input_maps())
     vmap = VoltageMap(0.9, 4)
-    digits = [vmap.decode(s.voltage("Sum")) for s in trace.states]
+    digits = [vmap.decode(s.voltage("Sum")) for s in _states(trace)]
     assert digits == [0, 1, 2, 3, 2, 1, 0]
 
 
@@ -160,7 +194,7 @@ def test_qfa1_cin_pulse_cout_trace():
     waves = {"A": [2, 2, 2], "B": [1, 1, 1], "Cin": [0, 1, 0]}
     trace = step_waveforms(fa.netlist, waves, fa.input_maps())
     cmap = fa.output_maps()["Cout"]
-    assert [cmap.decode(s.voltage("Cout")) for s in trace.states] == [0, 1, 0]
+    assert [cmap.decode(s.voltage("Cout")) for s in _states(trace)] == [0, 1, 0]
 
 
 def test_warm_start_equivalence():
@@ -170,7 +204,7 @@ def test_warm_start_equivalence():
     waves = {"A": [0, 2, 1, 2], "B": [1, 1, 2, 0], "Cin": [0, 1, 1, 0]}
     maps = fa.input_maps()
     trace = step_waveforms(fa.netlist, waves, maps)
-    final = trace.states[-1]
+    final = _states(trace)[-1]
     cold = solve_dc(
         fa.netlist,
         {name: maps[name].volts(waves[name][-1]) for name in waves},
@@ -231,6 +265,47 @@ def test_batch_matches_scalar_two_digit_cpa(variant, swing):
     cpa = build_cpa(CpaConfig(AdderVariant[variant], 2, CarrySwing(swing)))
     assert len(compile_netlist(cpa.netlist).ccr_plan.units) > 2
     _assert_batch_matches_scalar(cpa.netlist, _every_vector(cpa.input_maps()))
+
+
+_CHIRALITIES = [8, 10, 13, 19, 29, 37]
+
+
+@st.composite
+def _random_cases(draw):
+    """A small flat netlist and input columns for it: three supplies at
+    unequal voltages and up to 8 devices with random terminals, which gives
+    shorts, islands and feedback loops."""
+    vdd = draw(st.sampled_from([0.45, 0.9]))
+    b = NetlistBuilder()
+    b.add_supply("vdd", vdd)
+    b.add_supply("gnd", 0.0)
+    b.add_supply("vmid", draw(st.sampled_from([vdd / 3, vdd / 2, 2 * vdd / 3])))
+    radices = draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=2))
+    inputs = [b.add_input(f"in{i}", r) for i, r in enumerate(radices)]
+    b.add_output("out", 2)
+    internals = [b.add_internal(f"n{i}") for i in range(draw(st.integers(0, 3)))]
+    nets = st.sampled_from(["vdd", "gnd", "vmid", "out", *inputs, *internals])
+    for _ in range(draw(st.integers(1, 8))):
+        b.add_device(
+            draw(st.sampled_from(Polarity)),
+            draw(st.sampled_from(_CHIRALITIES)),
+            draw(nets),
+            draw(nets),
+            draw(nets),
+        )
+    rows = draw(st.integers(1, 6))
+    columns = {
+        name: np.array(draw(st.lists(st.integers(0, r - 1), min_size=rows, max_size=rows)))
+        * vdd / (r - 1)
+        for name, r in zip(inputs, radices)
+    }
+    return b.build("fuzz"), columns
+
+
+@settings(max_examples=150)
+@given(_random_cases())
+def test_batch_matches_reference_on_random_netlists(case):
+    _assert_batch_matches_scalar(*case)
 
 
 def test_batch_conflict_fixture():
@@ -370,21 +445,22 @@ def test_step_windows_match_reference_with_retention():
         ref_maps = maps or {n.name: VoltageMap(0.9, n.radix) for n in nl.inputs}
         for waves, trace in zip(windows, traces):
             states, changes, stepped = reference_step(nl, waves, ref_maps)
-            assert [s.voltages for s in trace.states] == [s.voltages for s in states]
-            assert [s.floating for s in trace.states] == [s.floating for s in states]
-            assert [s.conflicts for s in trace.states] == [s.conflicts for s in states]
-            assert list(trace.changes) == changes
+            got = _states(trace)
+            assert [s.voltages for s in got] == [s.voltages for s in states]
+            assert [s.floating for s in got] == [s.floating for s in states]
+            assert [s.conflicts for s in got] == [s.conflicts for s in states]
+            assert list(_changes(trace)) == changes
             assert list(trace.stepped) == stepped
             assert trace.times == tuple(2e-9 * k for k in range(len(states)))
             retained += sum(
-                n in s.voltages for s in trace.states for n in s.floating
+                n in s.voltages for s in _states(trace) for n in s.floating
             )
     assert retained  # the cases exercise charge retention
 
 
 def test_nonconverging_step_is_named():
     nl = _selfgate_fixture(pullup_gate="a")
-    assert step_waveforms(nl, {"a": [1, 1]}).states[1].floating == {"y"}
+    assert _states(step_waveforms(nl, {"a": [1, 1]}))[1].floating == {"y"}
     with pytest.raises(NonConvergenceError, match=r"^step 1: 'selfgate' did not reach"):
         step_waveforms(nl, {"a": [1, 0]})
     with pytest.raises(NonConvergenceError, match=r"^window 1, step 2: "):
