@@ -105,8 +105,9 @@ class TimingModel:
     c_diff_f: float = 0.05 * _FF
 
     def __post_init__(self) -> None:
-        if self.rho_ohm_v <= 0 or self.c_gate_f <= 0 or self.c_diff_f <= 0:
-            raise ValueError("timing model parameters must be positive")
+        params = (self.rho_ohm_v, self.c_gate_f, self.c_diff_f)
+        if not all(math.isfinite(p) and p > 0 for p in params):
+            raise ValueError(f"timing model parameters must be finite and positive, got {params}")
 
     @classmethod
     def default(cls) -> "TimingModel":
@@ -461,8 +462,8 @@ def dynamic_power(
 ) -> float:
     """Average power: sum over steps and moved nets of C * dV^2, divided by
     the total waveform time.  A net that gains a value costs nothing."""
-    if period_s <= 0:
-        raise AnalysisError("waveform period must be positive")
+    if not (math.isfinite(period_s) and period_s > 0):
+        raise AnalysisError(f"waveform period must be finite and > 0 s, got {period_s:g}")
     (caps,) = _load_caps(trace.comp, model, [loads_ff or {}]).T
     values = trace.values
     swung = trace.moved[1:] & ~np.isnan(values[:-1])

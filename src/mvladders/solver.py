@@ -11,9 +11,12 @@ non-convergence instead of a silent wrong answer.
 There is one engine.  :func:`solve_dc_batch` splits the netlist into
 channel-connected regions, solves them in dependency order on the distinct
 local input tuples only, and solves rows with a conflict or no fixed point
-again over the whole netlist.  :func:`solve_dc` is its one-row case, and
-:func:`step_windows` and :func:`step_waveforms` solve every column of their
-waveforms in one call to it before applying charge retention step by step.
+again over the whole netlist.  Units of one structural class, such as the
+repeated stages of a carry-propagate adder, share one table per call: each
+distinct fixed column is relaxed once and its result reused bit for bit.
+:func:`solve_dc` is its one-row case, and :func:`step_windows` and
+:func:`step_waveforms` solve every column of their waveforms in one call to
+it before applying charge retention step by step.
 The tests check the engine vector by vector against an independent
 union-find reference.
 """
@@ -215,9 +218,14 @@ class _Unit:
 
 @dataclass(frozen=True, eq=False)
 class _CcrPlan:
-    """Units in dependency order, plus the whole netlist as one unit."""
+    """Units in dependency order, plus the whole netlist as one unit.
+
+    Units of one structural class have equal own and fixed row counts and
+    equal device rows, polarities and thresholds, so :func:`_relax` gives
+    them the same bits on the same fixed column."""
 
     units: tuple[_Unit, ...]
+    classes: tuple[int, ...]  # structural class of each unit
     whole: _Unit
     keyed: frozenset[int]   # nets some unit takes as a key column
 
@@ -343,8 +351,17 @@ def _build_plan(comp: CompiledNetlist) -> _CcrPlan:
         )
         for scc in _dependency_order(deps)
     )
+    signatures: dict[tuple, int] = {}
+    classes = tuple(
+        signatures.setdefault(
+            (len(u.nets), len(u.ext), *(a.tobytes() for a in (u.g, u.s, u.d, u.is_n, u.vth))),
+            len(signatures),
+        )
+        for u in units
+    )
     return _CcrPlan(
         units=units,
+        classes=classes,
         whole=_make_unit(comp, range(comp.n_devices), list(region)),
         keyed=frozenset(k for unit in units for k in unit.keys),
     )
@@ -387,21 +404,24 @@ def _conduction(unit: _Unit, val: np.ndarray) -> np.ndarray:
 
 def _relax(
     unit: _Unit, fixed: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cold-start conduction fixed point of one unit, one column per row of
     ``fixed`` (the values of ``unit.ext``).
 
     Returns (values, driven, spread, conflict, nonconverged, sweeps):
     values and driven over the unit's own nets; per row, ``spread`` marks a
-    component joining unequal source voltages and ``conflict`` one whose
-    voltages differ by more than _EPS.
+    component joining unequal source voltages, ``conflict`` one whose
+    voltages differ by more than _EPS, and ``sweeps`` the sweep in which the
+    row stopped changing (``unit.cap`` if it never did).  Columns never
+    interact: a column's bits do not depend on the others.
     """
     n_own, n_rows = len(unit.nets), fixed.shape[1]
     val = np.concatenate([np.full((n_own, n_rows), np.nan), fixed])
     lo = np.concatenate([np.full((n_own, n_rows), np.inf), fixed])
     hi = np.concatenate([np.full((n_own, n_rows), -np.inf), fixed])
     cond = np.zeros((len(unit.g), n_rows), dtype=bool)
-    for sweep in range(1, unit.cap + 1):
+    sweeps = np.ones(n_rows, dtype=np.intp)
+    for _ in range(unit.cap):
         new_cond = _conduction(unit, val)
         vmin, vmax = _components(unit, new_cond, lo, hi)
         own_lo, own_hi = vmin[:n_own], vmax[:n_own]
@@ -413,6 +433,8 @@ def _relax(
         val[:n_own] = new_val
         if not changed.any():
             break
+        # a column that stopped changing recomputes the same values
+        sweeps += changed
     driven = vmin <= vmax
     return (
         val[:n_own],
@@ -420,7 +442,7 @@ def _relax(
         (vmax > vmin).any(axis=0),
         (driven & (vmax - vmin > _EPS)).any(axis=0),
         changed,
-        sweep,
+        np.minimum(sweeps, unit.cap),
     )
 
 
@@ -450,6 +472,33 @@ def _distinct_rows(
     return first, inverse
 
 
+class _ClassTable:
+    """The relaxed columns of one structural class of units, keyed by the
+    bytes of their fixed column, supplies included.  Equal bytes give equal
+    bits; a NaN payload or -0.0 can only miss.  Lives for one call."""
+
+    def __init__(self, n_own: int) -> None:
+        self.index: dict[bytes, int] = {}
+        self.values = np.empty((n_own, 0))
+        self.driven = np.empty((n_own, 0), dtype=bool)
+        self.redo = np.empty(0, dtype=bool)
+        self.sweeps = np.empty(0, dtype=np.intp)
+
+    def lookup(self, unit: _Unit, fixed: np.ndarray) -> np.ndarray:
+        """The entry of each column of ``fixed``, relaxing the new ones."""
+        keys = [column.tobytes() for column in fixed.T]
+        new = {key: j for j, key in enumerate(keys) if key not in self.index}
+        if new:
+            values, driven, spread, _, nonconv, sweeps = _relax(unit, fixed[:, list(new.values())])
+            for key in new:
+                self.index[key] = len(self.index)
+            self.values = np.concatenate([self.values, values], axis=1)
+            self.driven = np.concatenate([self.driven, driven], axis=1)
+            self.redo = np.concatenate([self.redo, spread | nonconv])
+            self.sweeps = np.concatenate([self.sweeps, sweeps])
+        return np.array([self.index[key] for key in keys], dtype=np.intp)
+
+
 def solve_dc_batch(
     nl: Netlist | CompiledNetlist, inputs: Mapping[str, np.ndarray]
 ) -> BatchResult:
@@ -467,7 +516,15 @@ def solve_dc_batch(
     with the whole netlist as one unit: a short then poisons every net it
     reaches through a shared supply, and ``nonconverged`` keeps the
     whole-netlist meaning.  ``iterations`` is the largest sweep count of any
-    unit.
+    unit on any row.
+
+    Units with the same structure (own and fixed row counts, device rows,
+    polarities and thresholds) form a class, and the call keeps one table
+    per class keyed by the bytes of each fixed column, supplies included.
+    Only columns the table does not hold are relaxed.  That is exact:
+    columns never interact in the relaxation, so equal bytes give equal
+    bits, and a NaN payload or -0.0 can only miss.  The tables live for
+    this call only.
     """
     comp = _as_compiled(nl)
     input_names = {comp.names[i] for i in comp.input_idx}
@@ -494,20 +551,21 @@ def solve_dc_batch(
     driven = ~np.isnan(val)
 
     ranks: dict[int, tuple[np.ndarray, int]] = {}
+    tables: dict[int, _ClassTable] = {}
     redo = np.zeros(n_vec, dtype=bool)
     iterations = 0
-    for unit in plan.units:
+    for unit, cls in zip(plan.units, plan.classes):
         for net in unit.keys:
             if net not in ranks:
                 ranks[net] = _rank(val[net])
         first, inverse = _distinct_rows([ranks[net] for net in unit.keys], n_vec)
-        values, own_driven, spread, _, nonconv, sweeps = _relax(
-            unit, val[np.ix_(unit.ext, first)]
-        )
+        table = tables.setdefault(cls, _ClassTable(len(unit.nets)))
+        entry = table.lookup(unit, val[np.ix_(unit.ext, first)])
+        values = table.values[:, entry]
         val[unit.nets] = values[:, inverse]
-        driven[unit.nets] = own_driven[:, inverse]
-        redo |= (spread | nonconv)[inverse]
-        iterations = max(iterations, sweeps)
+        driven[unit.nets] = table.driven[:, entry[inverse]]
+        redo |= table.redo[entry[inverse]]
+        iterations = max(iterations, int(table.sweeps[entry].max(initial=0)))
         for row, net in enumerate(unit.nets):
             if net in plan.keyed:
                 rank, classes = _rank(values[row])
@@ -523,7 +581,7 @@ def solve_dc_batch(
         )
         val[np.ix_(whole.nets, rows)] = values
         driven[np.ix_(whole.nets, rows)] = own_driven
-        iterations = max(iterations, sweeps)
+        iterations = max(iterations, int(sweeps.max()))
     return BatchResult(
         names=comp.names,
         values=val.T,

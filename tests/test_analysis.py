@@ -300,6 +300,27 @@ def test_bad_load_is_refused(model, entry, load):
         call()
 
 
+@pytest.mark.parametrize("period", [math.nan, math.inf])
+def test_non_finite_period_is_refused(model, period):
+    trace = step_waveforms(build(GateKind("Inverter")), {"a": [0, 1]})
+    with pytest.raises(AnalysisError, match=f"period .* got {period:g}$"):
+        dynamic_power(trace, model, period)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"rho_ohm_v": math.nan},
+        {"rho_ohm_v": math.inf},
+        {"rho_ohm_v": 1.0, "c_gate_f": math.nan},
+        {"rho_ohm_v": 1.0, "c_diff_f": math.inf},
+    ],
+)
+def test_non_finite_timing_model_is_refused(params):
+    with pytest.raises(ValueError, match="finite"):
+        TimingModel(**params)
+
+
 def test_energy_model_definition(model):
     # one node of capacitance C swung 0 -> V -> 0 dissipates 2 C V^2
     inv = build(GateKind("Inverter"))

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mvladders.device import CntfetSpec, Polarity
 from mvladders.gates import GateKind, build
 from mvladders.logic import VoltageMap
-from mvladders.netlist import Device, NetlistBuilder
+from mvladders.netlist import Device, NetlistBuilder, parse, serialize
 from mvladders.solver import (
     Conflict,
     DcState,
@@ -254,27 +255,63 @@ def test_batch_matches_scalar(single_stage_designs):
         assert not batch.conflict.any() and not batch.nonconverged.any(), fa.label
 
 
-@pytest.mark.parametrize(
-    "variant, swing",
-    [("BFA1_14T", "full"), ("TFA2", "full"), ("QFA1", "reduced")],
-)
+_TWO_DIGIT_CASES = [("BFA1_14T", "full"), ("TFA2", "full"), ("QFA1", "reduced")]
+
+
+@pytest.mark.parametrize("variant, swing", _TWO_DIGIT_CASES)
 def test_batch_matches_scalar_two_digit_cpa(variant, swing):
+    cpa = _two_digit_cpa(variant, swing)
+    assert len(compile_netlist(cpa.netlist).ccr_plan.units) > 2
+    _assert_batch_matches_scalar(cpa.netlist, _every_vector(cpa.input_maps()))
+
+
+def _two_digit_cpa(variant, swing):
     from mvladders.adders import AdderVariant, CpaConfig, build_cpa
     from mvladders.logic import CarrySwing
 
-    cpa = build_cpa(CpaConfig(AdderVariant[variant], 2, CarrySwing(swing)))
-    assert len(compile_netlist(cpa.netlist).ccr_plan.units) > 2
-    _assert_batch_matches_scalar(cpa.netlist, _every_vector(cpa.input_maps()))
+    return build_cpa(CpaConfig(AdderVariant[variant], 2, CarrySwing(swing)))
+
+
+def test_batch_iterations_are_the_largest_row_count(single_stage_designs):
+    # a unit that reuses another's solved column reports that column's own
+    # sweep count, so a batch counts what its rows count one by one
+    cpas = [_two_digit_cpa(*case) for case in _TWO_DIGIT_CASES]
+    for design in [*single_stage_designs, *cpas]:
+        comp = compile_netlist(design.netlist)
+        columns = _every_vector(design.input_maps())
+        rows = [
+            solve_dc(comp, {name: float(col[row]) for name, col in columns.items()})
+            for row in range(len(next(iter(columns.values()))))
+        ]
+        batch = solve_dc_batch(comp, columns)
+        assert batch.iterations == max(state.iterations for state in rows), design.label
+
+
+def test_comparison_cpas_share_few_unit_classes():
+    from mvladders.adders import build_cpa
+    from mvladders.cli import _COMPARE_CONFIGS
+
+    for config in _COMPARE_CONFIGS:
+        plan = compile_netlist(build_cpa(config).netlist).ccr_plan
+        assert len(set(plan.classes)) <= 7 < len(plan.units), config.label
+        members: dict[int, list] = {}
+        for unit, cls in zip(plan.units, plan.classes):
+            members.setdefault(cls, []).append(unit)
+        for first, *others in members.values():
+            for unit in others:
+                assert (len(unit.nets), len(unit.ext)) == (len(first.nets), len(first.ext))
+                for name in ("g", "s", "d", "is_n", "vth"):
+                    assert np.array_equal(getattr(unit, name), getattr(first, name)), name
 
 
 _CHIRALITIES = [8, 10, 13, 19, 29, 37]
 
 
 @st.composite
-def _random_cases(draw):
-    """A small flat netlist and input columns for it: three supplies at
-    unequal voltages and up to 8 devices with random terminals, which gives
-    shorts, islands and feedback loops."""
+def _random_netlists(draw):
+    """A small flat netlist: three supplies at unequal voltages and up to 8
+    devices with random terminals, which gives shorts, islands and feedback
+    loops."""
     vdd = draw(st.sampled_from([0.45, 0.9]))
     b = NetlistBuilder()
     b.add_supply("vdd", vdd)
@@ -293,18 +330,87 @@ def _random_cases(draw):
             draw(nets),
             draw(nets),
         )
+    return b.build("fuzz")
+
+
+def _levels(draw, radix, steps):
+    return draw(st.lists(st.integers(0, radix - 1), min_size=steps, max_size=steps))
+
+
+@st.composite
+def _random_cases(draw):
+    """A random netlist and input columns for it at its inputs' digit
+    levels."""
+    nl = draw(_random_netlists())
+    vdd = nl.max_supply_v()
     rows = draw(st.integers(1, 6))
     columns = {
-        name: np.array(draw(st.lists(st.integers(0, r - 1), min_size=rows, max_size=rows)))
-        * vdd / (r - 1)
-        for name, r in zip(inputs, radices)
+        net.name: np.array(_levels(draw, net.radix, rows)) * vdd / (net.radix - 1)
+        for net in nl.inputs
     }
-    return b.build("fuzz"), columns
+    return nl, columns
 
 
 @settings(max_examples=150)
 @given(_random_cases())
 def test_batch_matches_reference_on_random_netlists(case):
+    _assert_batch_matches_scalar(*case)
+
+
+@st.composite
+def _repeated_cell_cases(draw):
+    """2-3 copies of one random cell in a chain, and input columns for it.
+
+    Copy k's input ``a`` is copy k-1's output ``y``, so later copies are
+    units of the same structure as earlier ones; each copy sits on a 0.9 V
+    or a 0.45 V rail, so the same structure meets other supply values.  The
+    first ``a`` may come through a pass device whose gate is an input, which
+    leaves it and what it gates floating on some rows (NaN fixed values).
+    Nets are declared so that every copy orders its rows alike."""
+    n_internal = draw(st.integers(0, 2))
+    local = st.sampled_from(["rail", "gnd", "a", "b", "y", *(f"n{i}" for i in range(n_internal))])
+    cell = [
+        (draw(st.sampled_from(Polarity)), draw(st.sampled_from(_CHIRALITIES)),
+         draw(local), draw(local), draw(local))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    copies = draw(st.integers(2, 3))
+    rails = [draw(st.sampled_from(["vhi", "vlo"])) for _ in range(copies)]
+    gated = draw(st.booleans())
+    b = NetlistBuilder()
+    b.add_supply("vhi", 0.9)
+    b.add_supply("vlo", 0.45)
+    b.add_supply("gnd", 0.0)
+    b.add_input("b", 2)
+    b.add_input("in", 3)
+    if gated:
+        b.add_input("en", 2)
+        b.add_internal("a0")
+        b.add_device(Polarity.N, 19, "en", "in", "a0")
+    a = "a0" if gated else "in"
+    for k, rail in enumerate(rails):
+        y = f"y{k}"
+        if k == copies - 1:
+            b.add_output(y, 2)
+        else:
+            b.add_internal(y)
+        names = {"rail": rail, "gnd": "gnd", "a": a, "b": "b", "y": y}
+        names.update((f"n{i}", b.add_internal(f"c{k}n{i}")) for i in range(n_internal))
+        for polarity, n, *terminals in cell:
+            b.add_device(polarity, n, *(names[t] for t in terminals))
+        a = y
+    nl = b.build("chain")
+    rows = draw(st.integers(1, 8))
+    columns = {
+        net.name: np.array(_levels(draw, net.radix, rows)) * 0.9 / (net.radix - 1)
+        for net in nl.inputs
+    }
+    return nl, columns
+
+
+@settings(max_examples=100)
+@given(_repeated_cell_cases())
+def test_batch_matches_reference_on_repeated_cells(case):
     _assert_batch_matches_scalar(*case)
 
 
@@ -438,24 +544,71 @@ def test_step_windows_match_reference_with_retention():
             {"a": [1, 0, 1, 1], "en": [0, 1, 0, 0]},
         ]),
     ]
-    retained = 0
-    for nl, maps, windows in cases:
-        traces = list(step_windows(nl, windows, maps, dt=2e-9))
-        assert len(traces) == len(windows)
-        ref_maps = maps or {n.name: VoltageMap(0.9, n.radix) for n in nl.inputs}
-        for waves, trace in zip(windows, traces):
-            states, changes, stepped = reference_step(nl, waves, ref_maps)
-            got = _states(trace)
-            assert [s.voltages for s in got] == [s.voltages for s in states]
-            assert [s.floating for s in got] == [s.floating for s in states]
-            assert [s.conflicts for s in got] == [s.conflicts for s in states]
-            assert list(_changes(trace)) == changes
-            assert list(trace.stepped) == stepped
-            assert trace.times == tuple(2e-9 * k for k in range(len(states)))
-            retained += sum(
-                n in s.voltages for s in _states(trace) for n in s.floating
-            )
+    retained = sum(_assert_windows_match_reference(*case) for case in cases)
     assert retained  # the cases exercise charge retention
+
+
+def _reference_maps(nl):
+    return {n.name: VoltageMap(nl.max_supply_v(), n.radix) for n in nl.inputs}
+
+
+def _assert_windows_match_reference(nl, maps, windows) -> int:
+    """step_windows agrees with reference_step on every window: values with
+    retained charge, floating nets, conflicts, changes, stepped inputs and
+    times.  Returns how many retained values the windows hold."""
+    traces = list(step_windows(nl, windows, maps, dt=2e-9))
+    assert len(traces) == len(windows)
+    retained = 0
+    for waves, trace in zip(windows, traces):
+        states, changes, stepped = reference_step(nl, waves, maps or _reference_maps(nl))
+        got = _states(trace)
+        assert [s.voltages for s in got] == [s.voltages for s in states]
+        assert [s.floating for s in got] == [s.floating for s in states]
+        assert [s.conflicts for s in got] == [s.conflicts for s in states]
+        assert list(_changes(trace)) == changes
+        assert list(trace.stepped) == stepped
+        assert trace.times == tuple(2e-9 * k for k in range(len(states)))
+        retained += sum(n in s.voltages for s in got for n in s.floating)
+    return retained
+
+
+@st.composite
+def _random_windows(draw):
+    """A random netlist and 2-3 waveform windows of 1-6 steps each over its
+    inputs' digit levels."""
+    nl = draw(_random_netlists())
+    windows = []
+    for _ in range(draw(st.integers(2, 3))):
+        steps = draw(st.integers(1, 6))
+        windows.append({net.name: _levels(draw, net.radix, steps) for net in nl.inputs})
+    return nl, windows
+
+
+@settings(max_examples=100)
+@given(_random_windows())
+def test_step_windows_and_text_round_trip_on_random_netlists(case):
+    nl, windows = case
+    # parse -> serialize -> parse keeps every net, port and device
+    parsed = parse(serialize(nl))
+    again = parse(serialize(parsed))
+    for other in (parsed, again):
+        assert other.nets == nl.nets
+        assert other.ports == nl.ports
+        assert Counter(other.devices) == Counter(nl.devices)
+    assert serialize(again) == serialize(parsed) == serialize(nl)
+
+    maps = _reference_maps(nl)
+    stuck = [
+        (w, k)
+        for w, waves in enumerate(windows)
+        for k in range(len(next(iter(waves.values()))))
+        if reference_solve(nl, {n: maps[n].volts(waves[n][k]) for n in waves}) is None
+    ]
+    if stuck:
+        with pytest.raises(NonConvergenceError, match=rf"^window {stuck[0][0]}, step {stuck[0][1]}: "):
+            list(step_windows(nl, windows, maps))
+    else:
+        _assert_windows_match_reference(nl, maps, windows)
 
 
 def test_nonconverging_step_is_named():
