@@ -19,15 +19,15 @@ Shortest-path ties are broken and Elmore and energy terms summed
 in net-index order, so every figure is the same in every process.
 
 For a fixed conducting tree the Elmore delay is linear in the node
-capacitances (Rubinstein, Penfield and Horowitz, IEEE TCAD 1983), so each
-step is planned once and priced for every load: the plan holds the moved
-nets, the root-path resistance every two of them share and their settle
-order; pricing multiplies the shared resistances by a ``[nets x loads]``
-capacitance matrix, sums the products by a running sum in net-index
-order (never a pairwise or BLAS sum, whose order depends on the shape)
-and replays the settle order once for all loads.  A load priced with
-others therefore has the bits it has priced alone.  Every load the
-timing layer prices must be finite and non-negative.
+capacitances (Rubinstein, Penfield and Horowitz, IEEE TCAD 1983), and
+every root path and Elmore sum lies inside one channel-connected (CCR)
+unit.  So, as COSMOS (Bryant et al., DAC 1987) compiles each CCR once, a
+step is planned per unit, for every load at once, and one pricing call
+reuses a unit's plan on every step where its values and moved nets recur;
+the plans die with the call.  Sums run in net-index order (never a
+pairwise or BLAS sum, whose order depends on the shape), so every figure
+has the same bits priced alone, with other loads or from a reused plan.
+Every load the timing layer prices must be finite and non-negative.
 
 Energy is C * dV^2 summed over changed nets per step, with no short-circuit
 or leakage term; this matches the conflict-free circuit style.
@@ -54,6 +54,7 @@ from .netlist import Netlist, flatten
 from .solver import (
     CompiledNetlist,
     StepTrace,
+    _Unit,
     _as_compiled,
     _overdrive,
     compile_netlist,
@@ -160,124 +161,69 @@ def _load_caps(
     return caps
 
 
-@dataclass(frozen=True)
-class _SettlePlan:
-    """The load-independent part of pricing one step.  Positions in
-    ``shared`` and ``order`` index ``targets``."""
-
-    targets: list[int]  # moved nets other than supplies and inputs
-    shared: list[list[float]]  # [T x T] root-path resistance two targets share
-    order: list[tuple[int, list[int]]]  # (target, the targets gating its path)
-    moved_sources: list[int]  # moved supplies and inputs, settled at once
-
-
-def _settle_plan(trace: StepTrace, step: int, model: TimingModel) -> _SettlePlan:
-    """Plan the pricing of ``step``: the moved nets, the root-path
-    resistance every two of them share, and the order in which they
-    settle.  Every refusal of a step is raised here."""
-    comp = trace.comp
-    if trace.conflicts[step]:
-        raise AnalysisError(f"conflicted state: {trace.conflicts[step][0]}")
-    moved = trace.moved[step]
-    n_nets = comp.n_nets
-    is_source = np.zeros(n_nets, dtype=bool)
-    is_source[[*comp.supply_v, *comp.input_idx]] = True
-    targets = np.flatnonzero(moved & ~is_source).tolist()
-    moved_sources = np.flatnonzero(moved & is_source).tolist()
-    if not targets:
-        return _SettlePlan([], [], [], moved_sources)
-
-    # conducting devices, merged per channel into edges of summed conductance;
-    # retained charge neither conducts nor drives
-    val = np.where(trace.driven[step], trace.values[step], np.nan)
-    g, s, d, is_n, vth = comp.device_arrays
-    overdrive = _overdrive(is_n, vth, val[g], val[s], val[d])
-    on = np.flatnonzero(overdrive > 0)
-    conductance = 1.0 / ((1.0 / overdrive[on]) * model.rho_ohm_v)
-    edges: dict[tuple[int, int], list] = {}
-    for a, b, gate, gj in zip(
-        s[on].tolist(), d[on].tolist(), g[on].tolist(), conductance.tolist()
-    ):
-        edge = edges.setdefault((a, b) if a <= b else (b, a), [0.0, []])
-        edge[0] += gj
-        edge[1].append(gate)
-    adjacency: list[list[tuple[int, float, list[int]]]] = [[] for _ in range(n_nets)]
-    for (a, b), (total, gates) in edges.items():
-        adjacency[a].append((b, 1.0 / total, gates))
-        adjacency[b].append((a, 1.0 / total, gates))
-
-    # multi-source Dijkstra until every target is reached; the heap breaks
-    # ties by net index
-    sources = np.flatnonzero(is_source).tolist()
-    dist = [math.inf] * n_nets
-    parent: list[tuple[int, list[int]] | None] = [None] * n_nets
-    for i in sources:
-        dist[i] = 0.0
-    heap = [(0.0, i) for i in sources]
-    unreached = set(targets)
-    while heap and unreached:
+def _drive_tree(comp: CompiledNetlist, unit: _Unit, on: list[bool], edge_g: list[float]) -> tuple:
+    """Shortest driving paths in one CCR unit: the root-path resistance of
+    every net its sources reach, and each one's hop towards the root with
+    the gates of the conducting devices on that hop."""
+    edges: dict[int, tuple[int, int, list[int]]] = {}
+    for j in unit.devices:
+        if on[j]:  # conducting devices, merged per channel edge
+            edge = edges.setdefault(comp.ccr_plan.edge[j], (comp.dev_s[j], comp.dev_d[j], []))
+            edge[2].append(comp.dev_g[j])
+    adjacency: dict[int, list[tuple[int, float, list[int]]]] = {}
+    for e, (a, b, gates) in edges.items():
+        adjacency.setdefault(a, []).append((b, 1.0 / edge_g[e], gates))
+        adjacency.setdefault(b, []).append((a, 1.0 / edge_g[e], gates))
+    # multi-source Dijkstra; the heap breaks ties by net index
+    dist = dict.fromkeys(unit.sources, 0.0)
+    parent: dict[int, tuple[int, list[int]]] = {}
+    heap = [(0.0, i) for i in unit.sources]
+    while heap:
         du, u = heapq.heappop(heap)
         if du > dist[u]:
             continue
-        unreached.discard(u)
-        for v, r, gates in adjacency[u]:
+        for v, r, gates in adjacency.get(u, ()):
             nd = du + r
-            if nd < dist[v] - 1e-18:
+            if nd < dist.get(v, math.inf) - 1e-18:
                 dist[v] = nd
                 parent[v] = (u, gates)
                 heapq.heappush(heap, (nd, v))
-    if unreached:
-        raise AnalysisError(f"changed net {comp.names[min(unreached)]!r} has no driving path")
+    return dist, parent
 
-    # root path of every target, and the targets that gate a device on it
-    position = {n: i for i, n in enumerate(targets)}
-    paths: list[list[int]] = []
-    gating: list[list[int]] = []
+
+def _unit_plan(tree: tuple, targets: list[int], moved: set[int], caps: np.ndarray) -> tuple:
+    """Plan the moved nets ``targets`` of one CCR unit: those no source
+    reaches, each one's Elmore sum per load column of ``caps``, and the
+    moved nets gating its root path."""
+    dist, parent = tree
+    unreached = [n for n in targets if n not in dist]
+    if unreached:
+        return unreached, {}, {}
+    paths, gating = [], {}
     for n in targets:
-        nodes, gates, hop = [n], [], parent[n]
+        nodes, gates, hop = [n], set(), parent.get(n)
         while hop is not None:
             nodes.append(hop[0])
-            gates.extend(hop[1])
-            hop = parent[hop[0]]
-        nodes.reverse()
-        paths.append(nodes)
-        gating.append([position[gate] for gate in position.keys() & gates])
-
-    # the resistance of the root path two targets share (none across roots);
-    # two root paths of one tree share the same prefix from either end
-    shared = [[0.0] * len(targets) for _ in targets]
-    for i, nodes in enumerate(paths):
-        on_path = set(nodes)
+            gates.update(hop[1])
+            hop = parent.get(hop[0])
+        paths.append(nodes[::-1])
+        gating[n] = sorted(moved & gates)
+    # the root-path resistance two targets share (none across roots) times
+    # the other's capacitance, summed by a running sum in net-index order
+    shared = [[0.0] * len(paths) for _ in paths]
+    for i, path in enumerate(paths):
         for j in range(i + 1):
-            common = 0.0
-            for node in paths[j]:
-                if node not in on_path:
+            for node, node_other in zip(path, paths[j]):
+                if node != node_other:
                     break
-                common = dist[node]
-            shared[i][j] = shared[j][i] = common
-
-    # a target settles after the slowest target gating its path: resolve in
-    # rounds, each target as soon as every target gating it has resolved
-    resolved = [False] * len(targets)
-    order: list[tuple[int, list[int]]] = []
-    pending = list(range(len(targets)))
-    while pending:
-        waiting = []
-        for i in pending:
-            if all(resolved[j] for j in gating[i]):
-                resolved[i] = True
-                order.append((i, gating[i]))
-            else:
-                waiting.append(i)
-        if len(waiting) == len(pending):
-            names = sorted(comp.names[targets[i]] for i in waiting)
-            raise AnalysisError(f"settle ordering did not resolve for {names}")
-        pending = waiting
-    return _SettlePlan(targets, shared, order, moved_sources)
+                shared[i][j] = shared[j][i] = dist[node]
+    terms = np.asarray(shared)[:, :, None] * caps[targets][None, :, :]
+    times = dict(zip(targets, np.add.accumulate(terms, axis=1)[:, -1].tolist()))
+    return [], times, gating
 
 
 def settle_times(
-    trace: StepTrace, step: int, model: TimingModel, caps: np.ndarray
+    trace: StepTrace, step: int, model: TimingModel, caps: np.ndarray, *, plans: dict | None = None
 ) -> dict[int, list[float]]:
     """Settling times in seconds of every net that moved at ``step``, keyed
     by net index, one per column of the ``[nets x loads]`` capacitance
@@ -285,28 +231,84 @@ def settle_times(
 
     A moved net waits for the slowest moved gate along its driving path
     (stage causality), then adds the Elmore sum over the moved nets of its
-    channel-connected component, weighted by shared path resistance.  The
-    conduction graph, the paths and the settle order do not depend on the
-    capacitances, so they are planned once and every load is priced from
-    the plan.  Path ties are broken and Elmore terms summed in net-index
-    order: the products are summed by a running sum along the target axis,
-    whose order does not depend on the number of loads, so every column
-    has the bits a one-load call would give.
+    channel-connected component, weighted by shared path resistance.  No
+    driving path passes through a source, so each CCR unit that owns a
+    moved net is planned alone: its driving tree depends only on the values
+    of its own and fixed nets, and its Elmore sums also on which of them
+    moved.  ``plans`` keeps both under those keys; share one dict across the
+    steps of one netlist priced with one ``caps``, and no further.
+
+    Planning per unit gives the bits a plan of the whole netlist would:
+    edge conductances are summed in device order from 0.0 (``np.bincount``),
+    the heap breaks ties by net index, and each Elmore sum is a running sum
+    in net-index order over its unit's moved nets, which leaves out only
+    +0.0 terms.  No sum depends on the number of loads, so every column has
+    the bits of a one-load call.
     """
-    plan = _settle_plan(trace, step, model)
-    n_loads = caps.shape[1]
-    settle = {n: [0.0] * n_loads for n in plan.moved_sources}
-    if not plan.targets:
+    comp, ccr = trace.comp, trace.comp.ccr_plan
+    if trace.conflicts[step]:
+        raise AnalysisError(f"conflicted state: {trace.conflicts[step][0]}")
+    moved = trace.moved[step]
+    is_target = moved & ~ccr.is_source
+    targets = np.flatnonzero(is_target).tolist()
+    settle = {n: [0.0] * caps.shape[1] for n in np.flatnonzero(moved & ccr.is_source).tolist()}
+    if not targets:
         return settle
-    terms = np.asarray(plan.shared)[:, :, None] * caps[plan.targets][None, :, :]
-    times = np.add.accumulate(terms, axis=1)[:, -1].tolist()
-    # each target's Elmore sums become its settle times in settle order; one
-    # without gating targets keeps them (0.0 + t is t for t >= 0)
-    for i, gating in plan.order:
-        if gating:
-            ready = map(max, *(times[j] for j in gating)) if len(gating) > 1 else times[gating[0]]
-            times[i] = list(map(operator.add, ready, times[i]))
-    settle.update(zip(plan.targets, times))
+    plans = {} if plans is None else plans
+    # retained charge neither conducts nor drives
+    val = np.where(trace.driven[step], trace.values[step], np.nan)
+    values, moving = val[ccr.rows].tobytes(), is_target[ccr.rows].tobytes()
+    by_unit: dict[int, list[int]] = {}
+    for n in targets:
+        by_unit.setdefault(ccr.unit_of.get(n, -1), []).append(n)
+    unreached = by_unit.pop(-1, [])
+    conduction = None
+    times: dict[int, list[float]] = {}
+    gating: dict[int, list[int]] = {}
+    for unit, own in by_unit.items():
+        start, stop = ccr.spans[unit]
+        key = (unit, values[8 * start:8 * stop])
+        if key not in plans:
+            if conduction is None:  # of the whole netlist, at most once a step
+                g, s, d, is_n, vth = comp.device_arrays
+                overdrive = _overdrive(is_n, vth, val[g], val[s], val[d])
+                on = overdrive > 0
+                conductance = 1.0 / ((1.0 / overdrive[on]) * model.rho_ohm_v)
+                edge_g = np.bincount(ccr.edge[on], conductance, minlength=len(ccr.edge))
+                conduction = on.tolist(), edge_g.tolist()
+            plans[key] = _drive_tree(comp, ccr.units[unit], *conduction), {}
+        tree, by_moved = plans[key]
+        mask = moving[start:stop]
+        if mask not in by_moved:
+            by_moved[mask] = _unit_plan(tree, own, set(targets), caps)
+        missing, unit_times, unit_gating = by_moved[mask]
+        unreached += missing
+        times.update(unit_times)
+        gating.update(unit_gating)
+    if unreached:
+        raise AnalysisError(f"changed net {comp.names[min(unreached)]!r} has no driving path")
+
+    # a target settles after the slowest target gating its path: resolve in
+    # rounds, each target as soon as every target gating it has resolved;
+    # one without gating targets keeps its Elmore sums
+    done: dict[int, list[float]] = {}
+    pending = targets
+    while pending:
+        waiting = []
+        for n in pending:
+            gates = gating[n]
+            if not all(map(done.__contains__, gates)):
+                waiting.append(n)
+            elif gates:
+                ready = map(max, *(done[g] for g in gates)) if len(gates) > 1 else done[gates[0]]
+                done[n] = list(map(operator.add, ready, times[n]))
+            else:
+                done[n] = list(times[n])
+        if len(waiting) == len(pending):
+            names = sorted(comp.names[n] for n in waiting)
+            raise AnalysisError(f"settle ordering did not resolve for {names}")
+        pending = waiting
+    settle.update((n, done[n]) for n in targets)
     return settle
 
 
@@ -316,6 +318,7 @@ def _worst_settle(
     caps: np.ndarray,
     steps: Iterable[int],
     targets: Sequence[int],
+    plans: dict,
 ) -> list[list[float]]:
     """The settle loop: the largest settling time of each target net over
     ``steps``, one per load column of ``caps`` (0.0 where it never moves).
@@ -325,7 +328,7 @@ def _worst_settle(
         for t in targets:
             if math.isnan(trace.values[k, t]):
                 raise AnalysisError(f"output {trace.comp.names[t]!r} floating at step {k}")
-        settle = settle_times(trace, k, model, caps)
+        settle = settle_times(trace, k, model, caps, plans=plans)
         worst = [list(map(max, w, settle.get(t, w))) for w, t in zip(worst, targets)]
     return worst
 
@@ -351,7 +354,7 @@ def path_delay(
     steps = [k for k in range(1, len(trace)) if from_net in trace.stepped[k] or moved[k]]
     if not steps:
         raise AnalysisError(f"{from_net!r} never transitions in the trace window")
-    ((worst,),) = _worst_settle(trace, model, caps, steps, [comp.index[to_net]])
+    ((worst,),) = _worst_settle(trace, model, caps, steps, [comp.index[to_net]], {})
     return worst
 
 
@@ -429,9 +432,10 @@ def _delays(
     comp = windows[0][1].comp
     best = {path: [0.0] * caps.shape[1] for path in ("in_cout", "in_sum", "cin_cout", "cin_sum")}
     targets = [comp.index[design.s_ports[-1]], comp.index[design.cout_port]]
+    plans: dict = {}  # unit plans shared by every window, for this pass only
     for stepped, trace in windows:
         steps = [k for k in range(1, len(trace)) if stepped in trace.stepped[k]]
-        t_sum, t_cout = _worst_settle(trace, model, caps, steps, targets)
+        t_sum, t_cout = _worst_settle(trace, model, caps, steps, targets, plans)
         prefix = "cin" if stepped == design.cin_port else "in"
         best[f"{prefix}_sum"] = list(map(max, best[f"{prefix}_sum"], t_sum))
         best[f"{prefix}_cout"] = list(map(max, best[f"{prefix}_cout"], t_cout))

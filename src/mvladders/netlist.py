@@ -487,7 +487,8 @@ def parse(text: str) -> Netlist:
 
 
 def _fmt_voltage(v: float) -> str:
-    return f"{v:g}"
+    """Six significant digits when they hold the value, else every digit."""
+    return f"{v:g}" if float(f"{v:g}") == v else repr(v)
 
 
 def _body_lines(nl: Netlist) -> list[str]:

@@ -214,6 +214,8 @@ class _Unit:
     end_rows: np.ndarray    # distinct table rows that are channel ends
     end_starts: np.ndarray  # first slot of each end row
     cap: int
+    devices: tuple[int, ...]  # the devices, ascending
+    sources: tuple[int, ...]  # the ext nets that are supplies or inputs, ascending
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,12 +224,18 @@ class _CcrPlan:
 
     Units of one structural class have equal own and fixed row counts and
     equal device rows, polarities and thresholds, so :func:`_relax` gives
-    them the same bits on the same fixed column."""
+    them the same bits on the same fixed column.  The timing layer plans
+    settling per unit on the last five fields."""
 
     units: tuple[_Unit, ...]
     classes: tuple[int, ...]  # structural class of each unit
     whole: _Unit
     keyed: frozenset[int]   # nets some unit takes as a key column
+    is_source: np.ndarray   # [nets] supplies and inputs
+    unit_of: dict[int, int]  # the unit owning each own net of some unit
+    edge: np.ndarray        # id of each device's unordered (source, drain) pair
+    rows: np.ndarray        # each unit's own, then its ext nets, unit after unit
+    spans: tuple[tuple[int, int], ...]  # each unit's slice of rows
 
 
 def _make_unit(comp: CompiledNetlist, devices: Sequence[int], nets: Sequence[int]) -> _Unit:
@@ -254,6 +262,8 @@ def _make_unit(comp: CompiledNetlist, devices: Sequence[int], nets: Sequence[int
         end_rows=end_rows,
         end_starts=end_starts,
         cap=2 + 2 * len(devices),
+        devices=tuple(devices.tolist()),
+        sources=tuple(i for i in ext if i in comp.supply_v or i in comp.input_idx),
     )
 
 
@@ -359,11 +369,22 @@ def _build_plan(comp: CompiledNetlist) -> _CcrPlan:
         )
         for u in units
     )
+    rows = [[*unit.nets.tolist(), *unit.ext.tolist()] for unit in units]
+    ends = np.cumsum([0, *map(len, rows)]).tolist()
+    pairs: dict[tuple[int, int], int] = {}
+    edge = [
+        pairs.setdefault((min(a, b), max(a, b)), len(pairs)) for a, b in zip(comp.dev_s, comp.dev_d)
+    ]
     return _CcrPlan(
         units=units,
         classes=classes,
         whole=_make_unit(comp, range(comp.n_devices), list(region)),
         keyed=frozenset(k for unit in units for k in unit.keys),
+        is_source=np.isin(np.arange(comp.n_nets), list(sources)),
+        unit_of={net: u for u, unit in enumerate(units) for net in unit.nets.tolist()},
+        edge=np.asarray(edge, dtype=np.intp),
+        rows=np.asarray([n for r in rows for n in r], dtype=np.intp),
+        spans=tuple(zip(ends, ends[1:])),
     )
 
 

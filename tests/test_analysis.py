@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -5,7 +6,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mvladders
 from mvladders.adders import AdderVariant, CpaConfig, build_cpa, build_full_adder
@@ -19,14 +22,17 @@ from mvladders.analysis import (
     path_delay,
     pdp,
     power_waveforms,
+    settle_times,
     sweep_load,
     worst_case_delays,
 )
-from mvladders.device import threshold_voltage_v
+from mvladders.cli import _COMPARE_CONFIGS
+from mvladders.device import Polarity, threshold_voltage_v
 from mvladders.gates import GateKind, build, build_tgate_chain
 from mvladders.logic import CarrySwing
-from mvladders.netlist import parse
+from mvladders.netlist import NetlistBuilder, parse
 from mvladders.solver import compile_netlist, step_waveforms
+from elmore_reference import reference_capacitance, reference_settle
 
 
 def scaled_model(model: TimingModel, rho: float = 1.0, caps: float = 1.0) -> TimingModel:
@@ -373,3 +379,138 @@ def test_csv_header_is_bit_exact():
         "design,radix,digits,swing_v,vdd_v,cl_ff,d_in_cout_s,d_in_sum_s,"
         "d_cin_cout_s,d_cin_sum_s,power_w,pdp_j,area_nm"
     )
+
+
+_TUBES = [8, 10, 13, 19, 29, 37]
+
+
+@st.composite
+def _rc_trees(draw):
+    """Random trees of conducting devices with unequal tubes, driven from
+    inputs ``a`` and ``b``.  A few enable nets copy or invert an input; then
+    each new net hangs off an earlier net through an always-on transmission
+    gate (sometimes two in parallel), an inverter or a NAND2 that net gates,
+    or one pass device gated by an enable or an earlier net.  NAND2s and
+    pass devices put two moved gates on one root path.  Some nets carry an
+    extra load in fF.  Both inputs step through six random levels."""
+    b = NetlistBuilder()
+    b.add_supply("vdd", 0.9)
+    b.add_supply("gnd", 0.0)
+    nets = [b.add_input("a", 2), b.add_input("b", 2)]
+    tube = st.sampled_from(_TUBES)
+
+    def hang(net, parent, kind, gate=None):
+        if kind == "inv":
+            b.add_device(Polarity.P, draw(tube), parent, "vdd", net)
+            b.add_device(Polarity.N, draw(tube), parent, "gnd", net)
+        elif kind == "pass":
+            b.add_device(draw(st.sampled_from(Polarity)), draw(tube), gate, parent, net)
+        elif kind == "nand":
+            mid = b.fresh(f"{net}m")
+            for g in (parent, gate):
+                b.add_device(Polarity.P, draw(tube), g, "vdd", net)
+            b.add_device(Polarity.N, draw(tube), parent, mid, net)
+            b.add_device(Polarity.N, draw(tube), gate, "gnd", mid)
+        else:
+            for _ in range(1 + (kind == "tg2")):
+                b.add_device(Polarity.N, draw(tube), "vdd", parent, net)
+                b.add_device(Polarity.P, draw(tube), "gnd", parent, net)
+
+    enables = []
+    for i in range(draw(st.integers(1, 3))):
+        enables.append(b.add_internal(f"e{i}"))
+        hang(enables[-1], draw(st.sampled_from(nets[:2])), draw(st.sampled_from(["tg", "inv"])))
+    for i in range(draw(st.integers(1, 8))):
+        net = b.add_output(f"y{i}", 2) if draw(st.booleans()) else b.add_internal(f"n{i}")
+        kind = draw(st.sampled_from(["tg", "tg2", "inv", "nand", "pass"]))
+        # half of the nets hang off a tree net, so the chains grow deep
+        parents = nets[2:] if nets[2:] and draw(st.booleans()) else nets
+        hang(net, draw(st.sampled_from(parents)), kind, draw(st.sampled_from(enables + nets[2:])))
+        nets.append(net)
+    loads = {net: draw(st.sampled_from([0.0, 0.5, 3.0])) for net in nets[2:] + enables}
+    levels = st.lists(st.integers(0, 1), min_size=6, max_size=6)
+    return b.build("rctree"), loads, {"a": draw(levels), "b": draw(levels)}
+
+
+@settings(max_examples=100)
+@given(_rc_trees())
+def test_settle_times_match_plain_elmore_reference(model, case):
+    # relative tolerance 1e-12: the two sum the same terms in other orders
+    nl, loads_ff, waveforms = case
+    comp = compile_netlist(nl)
+    loads_f = {n: ff * 1e-15 for n, ff in loads_ff.items()}
+    # two load columns: the drawn loads and none
+    ref_caps = [reference_capacitance(nl, model, loads_f), reference_capacitance(nl, model, {})]
+    caps = np.array([[c[name] for c in ref_caps] for name in comp.names])
+    assert caps[:, 0] == pytest.approx(node_capacitance(comp, model, loads_f), rel=1e-15)
+    trace = step_waveforms(comp, waveforms)
+    names = comp.names
+    for k in range(1, len(trace)):
+        held = [
+            {n: None if math.isnan(v) else v for n, v in zip(names, trace.values[j].tolist())}
+            for j in (k - 1, k)
+        ]
+        driven = dict(zip(names, trace.driven[k].tolist()))
+        got = settle_times(trace, k, model, caps)
+        for col, node_caps in enumerate(ref_caps):
+            want = reference_settle(nl, model, *held, driven, node_caps)
+            assert {names[i] for i in got} == set(want)
+            for i, times in got.items():
+                assert times[col] == pytest.approx(want[names[i]], rel=1e-12, abs=0.0), names[i]
+
+
+# sha256 of the repr of every delay and power figure below, as a settle plan
+# over the whole netlist gave them; the CSV and golden files round to 7
+# digits, so only this catches a last-bit drift in the Elmore sums
+_FIGURES_SHA256 = "44b397536bcc87ffa227217793beaca764ef898137653b2131102b4eb654cf5e"
+
+
+def test_figures_match_recorded_bits(model, single_stage_designs):
+    rows = [bench(build_cpa(cfg), model, 2.0) for cfg in _COMPARE_CONFIGS]
+    for fa in single_stage_designs:
+        rows.extend(sweep_load(fa, model, (0.25, 0.5, 1.0, 2.0, 4.0)).rows)
+    text = "".join(
+        f"{r.design}@{r.cl_ff!r} "
+        f"{' '.join(map(repr, (*r.delays.as_dict().values(), r.power_w)))}\n"
+        for r in rows
+    )
+    assert len(rows) == 66
+    assert hashlib.sha256(text.encode()).hexdigest() == _FIGURES_SHA256
+
+
+def test_conflicted_step_is_refused_by_name(model):
+    # the short between its own two rails leaves the inverter's output valid
+    nl = parse(
+        "SUPPLY vdd 0.9\nSUPPLY gnd 0\nSUPPLY hi 0.9\nSUPPLY lo 0\nINPUT a 2\nOUTPUT y 2\n"
+        "DEVICE P n=19 g=a s=vdd d=y\nDEVICE N n=19 g=a s=gnd d=y\n"
+        "DEVICE N n=37 g=vdd s=hi d=lo\n"
+    )
+    trace = step_waveforms(nl, {"a": [0, 1]})
+    with pytest.raises(
+        AnalysisError,
+        match=r"^conflicted state: Conflict\(nets=\('hi', 'lo'\), voltages=\(0\.0, 0\.9\)\)$",
+    ):
+        path_delay(trace, model, "a", "y", cl_ff=1.0)
+
+
+def test_moved_net_without_driving_path_is_refused(model):
+    # A moved net is driven at its step, so the solver never yields one
+    # without a conducting path; mark the inverter's input undriven by hand.
+    trace = step_waveforms(build(GateKind("Inverter")), {"a": [0, 1]})
+    driven = trace.driven.copy()
+    driven[1, trace.comp.index["a"]] = False
+    with pytest.raises(AnalysisError, match=r"^changed net 'y' has no driving path$"):
+        path_delay(replace(trace, driven=driven), model, "a", "y")
+
+
+def test_gating_cycle_is_refused(model):
+    # x is driven through a device y gates and y through one x gates; both
+    # gain a value at step 1, so neither can settle first
+    nl = parse(
+        "SUPPLY vdd 0.9\nSUPPLY gnd 0\nINPUT a 2\nINPUT b 2\nOUTPUT x 2\nOUTPUT y 2\n"
+        "DEVICE N n=19 g=vdd s=a d=x\nDEVICE N n=19 g=y s=a d=x\n"
+        "DEVICE P n=19 g=x s=b d=y\n"
+    )
+    trace = step_waveforms(nl, {"a": [1, 0], "b": [0, 1]})
+    with pytest.raises(AnalysisError, match=r"^settle ordering did not resolve for \['x', 'y'\]$"):
+        path_delay(trace, model, "a", "x")

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mvladders.device import Polarity
 from mvladders.netlist import (
@@ -244,3 +244,17 @@ def small_netlists(draw):
 @given(small_netlists())
 def test_roundtrip_property(nl):
     assert _same_structure(parse(serialize(nl)), nl)
+
+
+@settings(max_examples=100)
+@given(st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
+@example(0.1234567)
+def test_supply_voltage_survives_text_round_trip(volts):
+    # six significant digits where they suffice, every digit where not
+    b = NetlistBuilder()
+    b.add_supply("vdd", volts)
+    b.add_input("a", 2)
+    b.add_device(Polarity.N, 19, "a", "vdd", "a")
+    text = serialize(b.build("rail"))
+    assert parse(text).nets["vdd"].voltage == volts
+    assert f"SUPPLY vdd {volts:g}\n" in text or float(f"{volts:g}") != volts
