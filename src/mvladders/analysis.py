@@ -58,7 +58,6 @@ from .solver import (
     _as_compiled,
     _overdrive,
     compile_netlist,
-    step_waveforms,
     step_windows,
 )
 
@@ -222,6 +221,11 @@ def _unit_plan(tree: tuple, targets: list[int], moved: set[int], caps: np.ndarra
     return [], times, gating
 
 
+def _refuse_conflicts(trace: StepTrace, step: int) -> None:
+    if trace.conflicts[step]:
+        raise AnalysisError(f"conflicted state: {trace.conflicts[step][0]}")
+
+
 def settle_times(
     trace: StepTrace, step: int, model: TimingModel, caps: np.ndarray, *, plans: dict | None = None
 ) -> dict[int, list[float]]:
@@ -246,8 +250,7 @@ def settle_times(
     the bits of a one-load call.
     """
     comp, ccr = trace.comp, trace.comp.ccr_plan
-    if trace.conflicts[step]:
-        raise AnalysisError(f"conflicted state: {trace.conflicts[step][0]}")
+    _refuse_conflicts(trace, step)
     moved = trace.moved[step]
     is_target = moved & ~ccr.is_source
     targets = np.flatnonzero(is_target).tolist()
@@ -322,9 +325,10 @@ def _worst_settle(
 ) -> list[list[float]]:
     """The settle loop: the largest settling time of each target net over
     ``steps``, one per load column of ``caps`` (0.0 where it never moves).
-    A target without a value at one of those steps is an error."""
+    A conflicted step, then a target with no value there, is an error."""
     worst = [[0.0] * caps.shape[1] for _ in targets]
     for k in steps:
+        _refuse_conflicts(trace, k)
         for t in targets:
             if math.isnan(trace.values[k, t]):
                 raise AnalysisError(f"output {trace.comp.names[t]!r} floating at step {k}")
@@ -414,11 +418,15 @@ def _delay_windows(design: FullAdder | Cpa) -> Iterable[tuple[str, dict[str, lis
                 )
 
 
-def _delay_traces(design: FullAdder | Cpa, comp: CompiledNetlist) -> list[tuple[str, StepTrace]]:
-    """Every delay window stepped, with the input it steps."""
+def _delay_traces(
+    design: FullAdder | Cpa, comp: CompiledNetlist, *extra_waves: Mapping[str, Sequence[int]]
+) -> tuple[list[tuple[str, StepTrace]], list[StepTrace]]:
+    """Every delay window stepped, with the input it steps, and the trace of
+    each of ``extra_waves``, all in one :func:`step_windows` call."""
     windows = list(_delay_windows(design))
-    traces = step_windows(comp, [wave for _, wave in windows], design.input_maps())
-    return [(stepped, trace) for (stepped, _), trace in zip(windows, traces)]
+    waves = [wave for _, wave in windows] + list(extra_waves)
+    traces = list(step_windows(comp, waves, design.input_maps()))
+    return list(zip([stepped for stepped, _ in windows], traces)), traces[len(windows):]
 
 
 def _delays(
@@ -450,7 +458,7 @@ def worst_case_delays(design: FullAdder | Cpa, model: TimingModel, cl_ff: float)
     """
     comp = compile_netlist(design.netlist)
     caps = _load_caps(comp, model, [dict.fromkeys(design.loaded_nets(), cl_ff)])
-    (delays,) = _delays(design, _delay_traces(design, comp), model, caps)
+    (delays,) = _delays(design, _delay_traces(design, comp)[0], model, caps)
     return delays
 
 
@@ -545,13 +553,12 @@ def _bench_rows(
 ) -> tuple[BenchReport, ...]:
     """Bench rows of one design at each load.  The DC traces do not depend
     on the load, so the delay windows and the power waveform are stepped
-    once, and every delay step is priced for all loads in one pass."""
+    in one call, and every delay step is priced for all loads in one pass."""
     comp = compile_netlist(design.netlist)
     loads = list(loads_ff)
     load_maps = [dict.fromkeys(design.loaded_nets(), cl_ff) for cl_ff in loads]
     caps = _load_caps(comp, model, load_maps)
-    windows = _delay_traces(design, comp)
-    trace = step_waveforms(comp, power_waveforms(design), design.input_maps())
+    windows, (trace,) = _delay_traces(design, comp, power_waveforms(design))
     period = trace.times[-1] - trace.times[0]
     area_nm = area(design.netlist)
     rows = []

@@ -479,9 +479,10 @@ _CODE_LIMIT = 1 << 62
 def _distinct_rows(
     columns: Sequence[tuple[np.ndarray, int]], n_rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First row of each distinct tuple of ranked columns, and each row's
-    tuple.  Ranks combine in mixed radix, re-ranked before the code could
-    overflow int64."""
+    """First row of each distinct tuple of ranked columns, in ascending code
+    order, and each row's tuple.  Ranks combine in mixed radix, re-ranked
+    before the code could overflow int64.  A span of at most ``n_rows``
+    codes is counted densely, without a sort."""
     code = np.zeros(n_rows, dtype=np.int64)
     span = 1
     for rank, classes in columns:
@@ -489,8 +490,13 @@ def _distinct_rows(
             code, span = _rank(code)
         code = code * classes + rank
         span *= classes
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    return first, inverse
+    if span > n_rows:
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        return first, inverse
+    first = np.full(span, n_rows)
+    np.minimum.at(first, code, np.arange(n_rows))
+    present = first < n_rows
+    return first[present], (np.cumsum(present) - 1)[code]
 
 
 class _ClassTable:
@@ -532,7 +538,9 @@ def solve_dc_batch(
 
     Units of channel-connected regions are solved in dependency order, each
     only on the distinct tuples of its key columns (its outside gate nets and
-    boundary inputs), and scattered back to every row.  A row in which some
+    boundary inputs), and scattered back to every row.  The driven and
+    re-solve flags are gathered per row only where the entries a unit hits
+    differ.  A row in which some
     unit joins unequal source voltages or fails to converge is solved again
     with the whole netlist as one unit: a short then poisons every net it
     reaches through a shared supply, and ``nonconverged`` keeps the
@@ -584,8 +592,10 @@ def solve_dc_batch(
         entry = table.lookup(unit, val[np.ix_(unit.ext, first)])
         values = table.values[:, entry]
         val[unit.nets] = values[:, inverse]
-        driven[unit.nets] = table.driven[:, entry[inverse]]
-        redo |= table.redo[entry[inverse]]
+        hit_driven, hit_redo = table.driven[:, entry], table.redo[entry]
+        driven[unit.nets] = True if hit_driven.all() else hit_driven[:, inverse]
+        if hit_redo.any():
+            redo |= hit_redo[inverse]
         iterations = max(iterations, int(table.sweeps[entry].max(initial=0)))
         for row, net in enumerate(unit.nets):
             if net in plan.keyed:
@@ -721,7 +731,9 @@ class StepTrace:
     ``values[k - 1, i]`` otherwise.  ``conflicts[k]`` lists the supply
     conflicts of step k and ``stepped[k]`` the inputs whose level changed.
 
-    ``moved`` is a view built on first use.
+    ``moved`` is a view built on first use.  ``iterations`` belongs to the
+    whole :func:`step_windows` call that made the trace: the largest sweep
+    count over all of its windows.
     """
 
     comp: CompiledNetlist

@@ -217,7 +217,7 @@ def test_analysis_refuses_conflicts(model):
     b.add_device(Polarity.N, 19, "a", "gnd", "y")
     nl = b.build("clashinv")
     trace = step_waveforms(nl, {"a": [0, 1]})
-    with pytest.raises(AnalysisError):
+    with pytest.raises(AnalysisError, match="conflicted state"):
         path_delay(trace, model, "a", "y", cl_ff=1.0)
 
 
@@ -277,6 +277,39 @@ def test_load_batching_is_bit_exact(model, single_stage_designs):
         assert len(rows) == len(loads)
         for load, row in zip(loads, rows):
             assert row == bench(design, model, load), (row.design, load)
+
+
+def test_bench_steps_power_in_the_delay_batch(monkeypatch, model, single_stage_designs):
+    # bench solves the delay windows and the power waveform in one batch;
+    # the power trace it prices has the bits of the waveform stepped alone
+    from mvladders import analysis, solver
+
+    batches, traces = [], []
+    solve, power = solver.solve_dc_batch, analysis.dynamic_power
+
+    def counted_solve(*args):
+        batches.append(args)
+        return solve(*args)
+
+    def recorded_power(trace, *args):
+        traces.append(trace)
+        return power(trace, *args)
+
+    monkeypatch.setattr(solver, "solve_dc_batch", counted_solve)
+    monkeypatch.setattr(analysis, "dynamic_power", recorded_power)
+    for design in (*single_stage_designs, build_cpa(_COMPARE_CONFIGS[-1])):
+        batches.clear()
+        traces.clear()
+        bench(design, model, 2.0)
+        assert len(batches) == 1, design.label
+        (merged,) = traces
+        alone = step_waveforms(design.netlist, power_waveforms(design), design.input_maps())
+        assert merged.values.tobytes() == alone.values.tobytes(), design.label
+        assert merged.driven.tobytes() == alone.driven.tobytes(), design.label
+        assert merged.moved.tobytes() == alone.moved.tobytes(), design.label
+        assert (merged.conflicts, merged.stepped, merged.times) == (
+            alone.conflicts, alone.stepped, alone.times
+        ), design.label
 
 
 @pytest.mark.parametrize("load", [-5.0, math.nan, math.inf])

@@ -1,11 +1,14 @@
+import hashlib
 import itertools
+import json
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mvladders.device import CntfetSpec, Polarity
 from mvladders.gates import GateKind, build
@@ -14,6 +17,8 @@ from mvladders.netlist import Device, NetlistBuilder, parse, serialize
 from mvladders.solver import (
     Conflict,
     DcState,
+    _CODE_LIMIT,
+    _distinct_rows,
     NonConvergenceError,
     SolverError,
     compile_netlist,
@@ -639,3 +644,89 @@ def test_ccr_plan_orders_dependencies_first():
         assert all(k in solved or k in sources for k in unit.keys)
         solved |= set(unit.nets.tolist())
     assert solved == set(comp.ccr_plan.whole.nets.tolist())
+
+
+def _reference_distinct_rows(columns, n_rows):
+    # a dict of rank tuples: first rows, tuples in ascending (mixed-radix
+    # code, that is lexicographic) order, and each row's tuple
+    tuples = [tuple(int(rank[row]) for rank, _ in columns) for row in range(n_rows)]
+    first: dict[tuple, int] = {}
+    for row, key in enumerate(tuples):
+        first.setdefault(key, row)
+    order = {key: i for i, key in enumerate(sorted(first))}
+    return [first[key] for key in sorted(first)], [order[key] for key in tuples]
+
+
+@st.composite
+def _ranked_columns(draw):
+    n_rows = draw(st.integers(0, 40))
+    classes = draw(st.lists(st.sampled_from([1, 2, 3, 5, 64, 1 << 20, 1 << 40]), max_size=6))
+    columns = []
+    for c in classes:
+        ranks = draw(st.lists(st.integers(0, c - 1), min_size=n_rows, max_size=n_rows))
+        columns.append((np.asarray(ranks, dtype=np.intp), c))
+    return columns, n_rows
+
+
+_WIDE = [(np.array([5, 0, 5, 2]) << 28, _CODE_LIMIT >> 30)] * 3  # re-ranked after two
+
+
+@settings(max_examples=150)
+@given(_ranked_columns())
+@example(([], 5))
+@example(([(np.array([3]), 7)], 1))
+@example(([(np.array([1, 0, 1, 1, 0]), 2), (np.array([1, 1, 0, 1, 1]), 2)], 5))
+@example((_WIDE, 4))
+def test_distinct_rows_match_plain_reference(case):
+    columns, n_rows = case
+    first, inverse = _distinct_rows(columns, n_rows)
+    assert (first.tolist(), inverse.tolist()) == _reference_distinct_rows(columns, n_rows)
+
+
+def _batch_digest(batch) -> str:
+    digest = hashlib.sha256()
+    for array in (batch.values, batch.driven, batch.conflict, batch.nonconverged):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(str(batch.iterations).encode())
+    return digest.hexdigest()
+
+
+def _representative_rows_batch():
+    # y and w pass a and b on unchanged, so they keep the bits of the row
+    # that stands for their tuple: 0.0 and -0.0 share one rank, and so do
+    # the two NaN payloads; y also gates an inverter
+    nl = parse(
+        "SUPPLY vdd 0.9\nSUPPLY gnd 0\nINPUT a 2\nINPUT b 2\nOUTPUT z 2\nNET y\nNET w\n"
+        "DEVICE N n=19 g=vdd s=a d=y\nDEVICE N n=19 g=vdd s=b d=w\n"
+        "DEVICE P n=19 g=y s=vdd d=z\nDEVICE N n=19 g=y s=gnd d=z\n"
+    )
+    nan1, nan2 = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(np.float64)
+    a = np.array([-0.0, 0.0, nan1, nan2, -0.0, 0.9, nan2, 0.0, nan1])
+    b = np.array([0.0, nan2, -0.0, 0.0, nan1, -0.0, 0.9, nan1, -0.0])
+    return solve_dc_batch(nl, {"a": a, "b": b})
+
+
+def test_batch_results_match_recorded_digests(monkeypatch, single_stage_designs):
+    # the bits of every array and the sweep count of verify_design's batch on
+    # each design, and the representative row chosen among equal ranks
+    from mvladders import solver
+    from mvladders.adders import build_cpa, verify_design
+    from mvladders.cli import _COMPARE_CONFIGS
+
+    batches = []
+    solve = solver.solve_dc_batch
+
+    def recording(*args):
+        batches.append(solve(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(solver, "solve_dc_batch", recording)
+    digests = {}
+    for design in [*single_stage_designs, *map(build_cpa, _COMPARE_CONFIGS)]:
+        verify_design(design)
+        (batch,) = batches
+        batches.clear()
+        digests[design.label] = _batch_digest(batch)
+    digests["representative rows"] = _batch_digest(_representative_rows_batch())
+    recorded = json.loads((Path(__file__).parent / "golden" / "solver_digests.json").read_text())
+    assert digests == recorded
