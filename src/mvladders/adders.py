@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -94,7 +95,14 @@ class _Design:
     ``hierarchical`` source, and its port names: ``a_ports``, ``b_ports``
     and ``s_ports`` (least significant digit first), ``cin_port``,
     ``cout_port``, and ``carry_nets``, the carry each stage drives.  The
-    voltage maps and the loaded nets are written once from those."""
+    voltage maps and the loaded nets are written once from those, and the
+    netlist is compiled once per design object, on first use."""
+
+    @cached_property
+    def compiled(self) -> solver.CompiledNetlist:
+        """The flat netlist compiled for the solver, with its CCR plan built
+        on first use; kept for this design object's lifetime."""
+        return solver.compile_netlist(self.netlist)
 
     def input_maps(self) -> dict[str, VoltageMap]:
         maps = dict.fromkeys(self.a_ports + self.b_ports, VoltageMap(self.vdd, self.radix))
@@ -158,6 +166,8 @@ def build_full_adder(
     if variant is AdderVariant.QFA2 and carry_swing is not CarrySwing.FULL:
         raise ValueError("QFA2 is the full-carry-swing quaternary adder")
     if variant.radix == 2:
+        if carry_swing is not CarrySwing.FULL:
+            raise ValueError("binary adders have a full-swing carry; a reduced swing is vdd again")
         if not any(abs(vdd - v) < 1e-9 for v in (0.9, 0.45)):
             raise ValueError(f"binary adders run at 0.9 or 0.45 V, got {vdd}")
     elif abs(vdd - 0.9) > 1e-9:
@@ -586,7 +596,7 @@ def verify_design(design: FullAdder | Cpa) -> VerifyReport:
     ``[vectors x nets]`` value table would exceed 256 MiB is a ValueError.
     """
     radix, digits, vdd, carry_high_v = design.radix, design.digits, design.vdd, design.swing_v
-    comp = solver.compile_netlist(design.netlist)
+    comp = design.compiled
 
     span = radix**digits
     n_vec = span * span * 2

@@ -24,7 +24,10 @@ every root path and Elmore sum lies inside one channel-connected (CCR)
 unit.  So, as COSMOS (Bryant et al., DAC 1987) compiles each CCR once, a
 step is planned per unit, for every load at once, and one pricing call
 reuses a unit's plan on every step where its values and moved nets recur;
-the plans die with the call.  Sums run in net-index order (never a
+the plans die with the call.  Pricing is demand-driven: a figure plans only
+the units on the gating chains of the nets it reads (the last sum and the
+carry-out for a CPA's critical paths), and :func:`settle_times` asks for
+every moved net.  Sums run in net-index order (never a
 pairwise or BLAS sum, whose order depends on the shape), so every figure
 has the same bits priced alone, with other loads or from a reused plan.
 Every load the timing layer prices must be finite and non-negative.
@@ -57,7 +60,6 @@ from .solver import (
     _Unit,
     _as_compiled,
     _overdrive,
-    compile_netlist,
     step_windows,
 )
 
@@ -227,7 +229,7 @@ def _refuse_conflicts(trace: StepTrace, step: int) -> None:
 
 
 def settle_times(
-    trace: StepTrace, step: int, model: TimingModel, caps: np.ndarray, *, plans: dict | None = None
+    trace: StepTrace, step: int, model: TimingModel, caps: np.ndarray
 ) -> dict[int, list[float]]:
     """Settling times in seconds of every net that moved at ``step``, keyed
     by net index, one per column of the ``[nets x loads]`` capacitance
@@ -239,63 +241,95 @@ def settle_times(
     driving path passes through a source, so each CCR unit that owns a
     moved net is planned alone: its driving tree depends only on the values
     of its own and fixed nets, and its Elmore sums also on which of them
-    moved.  ``plans`` keeps both under those keys; share one dict across the
-    steps of one netlist priced with one ``caps``, and no further.
+    moved.  A figure's pricing call keeps both under those keys and reuses
+    them across its steps; this function plans afresh on every call.
 
     Planning per unit gives the bits a plan of the whole netlist would:
     edge conductances are summed in device order from 0.0 (``np.bincount``),
     the heap breaks ties by net index, and each Elmore sum is a running sum
     in net-index order over its unit's moved nets, which leaves out only
     +0.0 terms.  No sum depends on the number of loads, so every column has
-    the bits of a one-load call.
+    the bits of a one-load call.  This is :func:`_walk` from every moved
+    net, so a figure priced from fewer nets has these bits.
     """
-    comp, ccr = trace.comp, trace.comp.ccr_plan
     _refuse_conflicts(trace, step)
     moved = trace.moved[step]
-    is_target = moved & ~ccr.is_source
+    is_source = trace.comp.ccr_plan.is_source
+    settle = {n: [0.0] * caps.shape[1] for n in np.flatnonzero(moved & is_source).tolist()}
+    targets = np.flatnonzero(moved & ~is_source).tolist()
+    done = _walk(trace, step, model, caps, {}, targets)
+    settle.update((n, done[n]) for n in targets)
+    return settle
+
+
+def _walk(
+    trace: StepTrace,
+    step: int,
+    model: TimingModel,
+    caps: np.ndarray,
+    plans: dict,
+    requested: Sequence[int],
+) -> dict[int, list[float]]:
+    """Settling times of the moved non-source nets ``requested`` at
+    ``step`` and of every moved net on their gating chains.  ``plans``
+    keeps each unit's driving tree and Elmore plans; share one dict across
+    the steps of one netlist priced with one ``caps``, and no further.
+
+    The walk plans a requested net's unit over all of that unit's moved
+    nets, then follows the net's gating nets to their units, and resolves
+    the settle rounds over the walked nets only.  A moved net that no unit
+    owns is refused whether or not a chain reaches it; every unit walked is
+    priced before the lowest net without a driving path is named.
+    """
+    comp, ccr = trace.comp, trace.comp.ccr_plan
+    is_target = trace.moved[step] & ~ccr.is_source
     targets = np.flatnonzero(is_target).tolist()
-    settle = {n: [0.0] * caps.shape[1] for n in np.flatnonzero(moved & ccr.is_source).tolist()}
-    if not targets:
-        return settle
-    plans = {} if plans is None else plans
+    unreached = [n for n in targets if n not in ccr.unit_of]
+    if not requested and not unreached:
+        return {}
     # retained charge neither conducts nor drives
     val = np.where(trace.driven[step], trace.values[step], np.nan)
     values, moving = val[ccr.rows].tobytes(), is_target[ccr.rows].tobytes()
-    by_unit: dict[int, list[int]] = {}
-    for n in targets:
-        by_unit.setdefault(ccr.unit_of.get(n, -1), []).append(n)
-    unreached = by_unit.pop(-1, [])
     conduction = None
     times: dict[int, list[float]] = {}
     gating: dict[int, list[int]] = {}
-    for unit, own in by_unit.items():
-        start, stop = ccr.spans[unit]
-        key = (unit, values[8 * start:8 * stop])
-        if key not in plans:
-            if conduction is None:  # of the whole netlist, at most once a step
-                g, s, d, is_n, vth = comp.device_arrays
-                overdrive = _overdrive(is_n, vth, val[g], val[s], val[d])
-                on = overdrive > 0
-                conductance = 1.0 / ((1.0 / overdrive[on]) * model.rho_ohm_v)
-                edge_g = np.bincount(ccr.edge[on], conductance, minlength=len(ccr.edge))
-                conduction = on.tolist(), edge_g.tolist()
-            plans[key] = _drive_tree(comp, ccr.units[unit], *conduction), {}
-        tree, by_moved = plans[key]
-        mask = moving[start:stop]
-        if mask not in by_moved:
-            by_moved[mask] = _unit_plan(tree, own, set(targets), caps)
-        missing, unit_times, unit_gating = by_moved[mask]
-        unreached += missing
-        times.update(unit_times)
-        gating.update(unit_gating)
+    walked, seen, planned = list(requested), set(requested), set()
+    for n in walked:  # grows as the chains are followed
+        unit = ccr.unit_of.get(n)
+        if unit is not None and unit not in planned:  # without a unit: unreached
+            planned.add(unit)
+            start, stop = ccr.spans[unit]
+            key = (unit, values[8 * start:8 * stop])
+            if key not in plans:
+                if conduction is None:  # of the whole netlist, at most once a step
+                    g, s, d, is_n, vth = comp.device_arrays
+                    overdrive = _overdrive(is_n, vth, val[g], val[s], val[d])
+                    on = overdrive > 0
+                    conductance = 1.0 / ((1.0 / overdrive[on]) * model.rho_ohm_v)
+                    edge_g = np.bincount(ccr.edge[on], conductance, minlength=len(ccr.edge))
+                    conduction = on.tolist(), edge_g.tolist()
+                plans[key] = _drive_tree(comp, ccr.units[unit], *conduction), {}
+            tree, by_moved = plans[key]
+            mask = moving[start:stop]
+            if mask not in by_moved:
+                own = [m for m, is_moved in zip(ccr.units[unit].nets.tolist(), mask) if is_moved]
+                by_moved[mask] = _unit_plan(tree, own, set(targets), caps)
+            missing, unit_times, unit_gating = by_moved[mask]
+            unreached += missing
+            times.update(unit_times)
+            gating.update(unit_gating)
+        for g in gating.get(n, ()):
+            if g not in seen:
+                seen.add(g)
+                walked.append(g)
     if unreached:
         raise AnalysisError(f"changed net {comp.names[min(unreached)]!r} has no driving path")
 
-    # a target settles after the slowest target gating its path: resolve in
-    # rounds, each target as soon as every target gating it has resolved;
-    # one without gating targets keeps its Elmore sums
+    # a net settles after the slowest net gating its path: resolve in
+    # rounds, each net as soon as every net gating it has resolved; one
+    # without gating nets keeps its Elmore sums
     done: dict[int, list[float]] = {}
-    pending = targets
+    pending = walked
     while pending:
         waiting = []
         for n in pending:
@@ -311,8 +345,7 @@ def settle_times(
             names = sorted(comp.names[n] for n in waiting)
             raise AnalysisError(f"settle ordering did not resolve for {names}")
         pending = waiting
-    settle.update((n, done[n]) for n in targets)
-    return settle
+    return done
 
 
 def _worst_settle(
@@ -325,14 +358,26 @@ def _worst_settle(
 ) -> list[list[float]]:
     """The settle loop: the largest settling time of each target net over
     ``steps``, one per load column of ``caps`` (0.0 where it never moves).
-    A conflicted step, then a target with no value there, is an error."""
+
+    Each step is refused first if it is conflicted, if a target has no value
+    there, or if a moved net has no unit to drive it.  Then only the moved
+    targets and the nets on their gating chains are priced (:func:`_walk`),
+    with the bits :func:`settle_times` gives them.  A moved net off every
+    chain is not priced, so it refuses no figure it does not affect: a
+    missing driving path there (only a hand-built trace has one, as the
+    solver drives every net it moves) or a gating cycle among such nets
+    refuses the step in :func:`settle_times` but not here.
+    """
     worst = [[0.0] * caps.shape[1] for _ in targets]
+    is_source = trace.comp.ccr_plan.is_source
     for k in steps:
         _refuse_conflicts(trace, k)
         for t in targets:
             if math.isnan(trace.values[k, t]):
                 raise AnalysisError(f"output {trace.comp.names[t]!r} floating at step {k}")
-        settle = settle_times(trace, k, model, caps, plans=plans)
+        moved = trace.moved[k]
+        requested = [t for t in targets if moved[t] and not is_source[t]]
+        settle = _walk(trace, k, model, caps, plans, requested)
         worst = [list(map(max, w, settle.get(t, w))) for w, t in zip(worst, targets)]
     return worst
 
@@ -456,7 +501,7 @@ def worst_case_delays(design: FullAdder | Cpa, model: TimingModel, cl_ff: float)
     Loads: cl_ff on every stage output (the sums, the final carry, and the
     rippling inter-stage carries of a CPA).
     """
-    comp = compile_netlist(design.netlist)
+    comp = design.compiled
     caps = _load_caps(comp, model, [dict.fromkeys(design.loaded_nets(), cl_ff)])
     (delays,) = _delays(design, _delay_traces(design, comp)[0], model, caps)
     return delays
@@ -553,8 +598,9 @@ def _bench_rows(
 ) -> tuple[BenchReport, ...]:
     """Bench rows of one design at each load.  The DC traces do not depend
     on the load, so the delay windows and the power waveform are stepped
-    in one call, and every delay step is priced for all loads in one pass."""
-    comp = compile_netlist(design.netlist)
+    in one call, and every delay step is priced for all loads in one pass.
+    A load so large that some figure overflows is refused, never printed."""
+    comp = design.compiled
     loads = list(loads_ff)
     load_maps = [dict.fromkeys(design.loaded_nets(), cl_ff) for cl_ff in loads]
     caps = _load_caps(comp, model, load_maps)
@@ -565,6 +611,10 @@ def _bench_rows(
     delays_per_load = _delays(design, windows, model, caps)
     for cl_ff, loaded, delays in zip(loads, load_maps, delays_per_load):
         power = dynamic_power(trace, model, period, loaded)
+        figures = {**delays.as_dict(), "power_w": power, "pdp_j": pdp(power, delays.cin_cout)}
+        for name, value in figures.items():
+            if not math.isfinite(value):
+                raise AnalysisError(f"{name} of {design.label} at {cl_ff:g} fF is not finite")
         rows.append(BenchReport(
             design=design.label,
             radix=design.radix,
@@ -574,7 +624,7 @@ def _bench_rows(
             cl_ff=cl_ff,
             delays=delays,
             power_w=power,
-            pdp_j=pdp(power, delays.cin_cout),
+            pdp_j=figures["pdp_j"],
             area_nm=area_nm,
         ))
     return tuple(rows)

@@ -4,7 +4,8 @@ CPA comparison, and dump or simulate netlists.
 Design specs take the form ``variant[,swing=reduced|full][,vdd=0.9|0.45]
 [,digits=N]``, e.g. ``tfa2,swing=reduced,digits=4``.  Exit statuses: 0
 success, 1 verification failure, 2 design/parse error, 3 solver
-non-convergence or supply conflict.
+non-convergence, supply conflict or a refused analysis (such as a figure
+that overflows).
 """
 
 from __future__ import annotations

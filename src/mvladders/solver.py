@@ -591,16 +591,16 @@ def solve_dc_batch(
         table = tables.setdefault(cls, _ClassTable(len(unit.nets)))
         entry = table.lookup(unit, val[np.ix_(unit.ext, first)])
         values = table.values[:, entry]
-        val[unit.nets] = values[:, inverse]
+        val[unit.nets] = values.take(inverse, axis=1)
         hit_driven, hit_redo = table.driven[:, entry], table.redo[entry]
-        driven[unit.nets] = True if hit_driven.all() else hit_driven[:, inverse]
+        driven[unit.nets] = True if hit_driven.all() else hit_driven.take(inverse, axis=1)
         if hit_redo.any():
-            redo |= hit_redo[inverse]
+            redo |= hit_redo.take(inverse)
         iterations = max(iterations, int(table.sweeps[entry].max(initial=0)))
         for row, net in enumerate(unit.nets):
             if net in plan.keyed:
                 rank, classes = _rank(values[row])
-                ranks[net] = rank[inverse], classes
+                ranks[net] = rank.take(inverse), classes
 
     conflict = np.zeros(n_vec, dtype=bool)
     nonconverged = np.zeros(n_vec, dtype=bool)

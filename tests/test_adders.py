@@ -111,8 +111,19 @@ def test_non_finite_vdd_rejected(vdd):
 
 def test_binary_swings_coincide():
     full = build_full_adder(AdderVariant.BFA1_14T, CarrySwing.FULL)
-    reduced = build_full_adder(AdderVariant.BFA1_14T, CarrySwing.REDUCED)
-    assert full.swing_v == reduced.swing_v == 0.9
+    assert full.swing_v == CarrySwing.REDUCED.carry_high_v(2, 0.9) == 0.9
+
+
+@pytest.mark.parametrize(
+    "variant", [AdderVariant.BFA1_14T, AdderVariant.BFA2_28T, AdderVariant.BFA3_MUX]
+)
+def test_binary_reduced_swing_is_refused(variant):
+    # a binary carry's reduced swing is vdd, so the build would be the
+    # full-swing netlist under a second label
+    with pytest.raises(ValueError, match="binary adders have a full-swing carry"):
+        build_full_adder(variant, CarrySwing.REDUCED)
+    with pytest.raises(ValueError, match="binary adders have a full-swing carry"):
+        build_cpa(CpaConfig(variant, 2, CarrySwing.REDUCED, 0.45))
 
 
 def test_cpa_flattening_counts():

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -339,6 +340,20 @@ def test_bad_load_is_refused(model, entry, load):
         call()
 
 
+@pytest.mark.parametrize("load", [1e200, 1e308])
+@pytest.mark.parametrize("entry", ["bench", "sweep_load"])
+def test_overflowing_figure_is_refused(model, entry, load):
+    # every load is finite, but power * delay overflows to inf
+    fa = build_full_adder(AdderVariant.TFA2)
+    call = {
+        "bench": lambda: bench(fa, model, load),
+        "sweep_load": lambda: sweep_load(fa, model, (1.0, load)),
+    }[entry]
+    message = rf"^pdp_j of TFA2\[full,0\.9V\] at {re.escape(f'{load:g}')} fF is not finite$"
+    with pytest.raises(AnalysisError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("period", [math.nan, math.inf])
 def test_non_finite_period_is_refused(model, period):
     trace = step_waveforms(build(GateKind("Inverter")), {"a": [0, 1]})
@@ -547,3 +562,73 @@ def test_gating_cycle_is_refused(model):
     trace = step_waveforms(nl, {"a": [1, 0], "b": [0, 1]})
     with pytest.raises(AnalysisError, match=r"^settle ordering did not resolve for \['x', 'y'\]$"):
         path_delay(trace, model, "a", "x")
+
+
+def test_chain_walk_has_the_bits_of_settle_times(model, single_stage_designs):
+    # _worst_settle prices only the gating chains of its targets; each
+    # figure must be the maximum of settle_times, which prices every net
+    from mvladders import analysis
+
+    cases = [(build_cpa(cfg), (2.0,)) for cfg in _COMPARE_CONFIGS]
+    cases += [(fa, (0.25, 0.5, 1.0, 2.0, 4.0)) for fa in single_stage_designs]
+    for design, loads in cases:
+        comp = design.compiled
+        load_maps = [dict.fromkeys(design.loaded_nets(), cl) for cl in loads]
+        caps = analysis._load_caps(comp, model, load_maps)
+        targets = [comp.index[design.s_ports[-1]], comp.index[design.cout_port]]
+        plans = {}
+        for stepped, trace in analysis._delay_traces(design, comp)[0]:
+            steps = [k for k in range(1, len(trace)) if stepped in trace.stepped[k]]
+            got = analysis._worst_settle(trace, model, caps, steps, targets, plans)
+            want = [[0.0] * len(loads) for _ in targets]
+            for k in steps:
+                settle = settle_times(trace, k, model, caps)
+                want = [list(map(max, w, settle.get(t, w))) for w, t in zip(want, targets)]
+            assert repr(got) == repr(want), (design.label, stepped)
+
+
+def test_bench_plans_only_the_gating_chains(monkeypatch, model):
+    # pricing every moved net's unit took 488 driving trees and 980 Elmore
+    # plans for one bench of the six comparison CPAs
+    from mvladders import analysis
+
+    calls = {"trees": 0, "plans": 0}
+    drive_tree, unit_plan = analysis._drive_tree, analysis._unit_plan
+
+    def counted_tree(*args):
+        calls["trees"] += 1
+        return drive_tree(*args)
+
+    def counted_plan(*args):
+        calls["plans"] += 1
+        return unit_plan(*args)
+
+    monkeypatch.setattr(analysis, "_drive_tree", counted_tree)
+    monkeypatch.setattr(analysis, "_unit_plan", counted_plan)
+    for cfg in _COMPARE_CONFIGS:
+        bench(build_cpa(cfg), model, 2.0)
+    assert calls["trees"] < 488
+    assert calls["plans"] < 980
+
+
+def test_net_off_the_chain_refuses_only_settle_times(model):
+    # Mark b undriven by hand at step 1: z moves without a driving path.
+    # z is off y's chain, so a->y keeps its figure, while settle_times,
+    # which prices every moved net, refuses the step.
+    nl = parse(
+        "SUPPLY vdd 0.9\nSUPPLY gnd 0\nINPUT a 2\nINPUT b 2\nOUTPUT y 2\nOUTPUT z 2\n"
+        "DEVICE P n=19 g=a s=vdd d=y\nDEVICE N n=19 g=a s=gnd d=y\n"
+        "DEVICE P n=19 g=b s=vdd d=z\nDEVICE N n=19 g=b s=gnd d=z\n"
+    )
+    trace = step_waveforms(nl, {"a": [0, 1], "b": [0, 1]})
+    driven = trace.driven.copy()
+    driven[1, trace.comp.index["b"]] = False
+    cut = replace(trace, driven=driven)
+    delay = path_delay(cut, model, "a", "y", cl_ff=1.0)
+    assert delay > 0
+    assert delay == path_delay(trace, model, "a", "y", cl_ff=1.0)
+    caps = node_capacitance(trace.comp, model)[:, None]
+    with pytest.raises(AnalysisError, match=r"^changed net 'z' has no driving path$"):
+        settle_times(cut, 1, model, caps)
+    with pytest.raises(AnalysisError, match=r"^changed net 'z' has no driving path$"):
+        path_delay(cut, model, "b", "z", cl_ff=1.0)

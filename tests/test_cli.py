@@ -6,7 +6,7 @@ import pytest
 
 from mvladders import solver
 from mvladders.analysis import CSV_HEADER
-from mvladders.cli import ExitStatus, main, parse_design_spec
+from mvladders.cli import ExitStatus, compare_cpa, main, parse_design_spec
 
 
 def run_cli(argv):
@@ -107,6 +107,41 @@ def test_sweep_rejects_bad_load(cl):
     assert status == ExitStatus.BAD_REQUEST
     assert out == ""
     assert "--cl" in err
+
+
+@pytest.mark.parametrize("argv", [["bench", "--cl", "1e200"], ["bench", "--cl", "1e308"],
+                                  ["sweep", "--cl", "1,1e200"], ["sweep", "--cl", "1e308,2"]])
+def test_overflowing_figure_is_refused(argv):
+    # power * delay overflows to inf: refused with the design, load and figure
+    command, *options = argv
+    status, out, err = run_cli([command, "tfa2", *options])
+    assert status == ExitStatus.SOLVER_TROUBLE
+    assert out == ""
+    assert err.startswith("pdp_j of TFA2[full,0.9V] at 1e+")
+    assert err.endswith(" fF is not finite\n")
+
+
+@pytest.mark.parametrize("spec", ["bfa1,swing=reduced", "bfa3,swing=reduced,vdd=0.45,digits=2"])
+def test_binary_reduced_swing_spec_is_refused(spec):
+    status, out, err = run_cli(["bench", spec])
+    assert status == ExitStatus.BAD_REQUEST
+    assert out == ""
+    assert "binary adders have a full-swing carry" in err
+
+
+def test_compare_cpa_compiles_each_design_once(monkeypatch):
+    # counted where every compile ends, whichever module asks for it
+    compiled = []
+    init = solver.CompiledNetlist.__init__
+
+    def counted(self, netlist, *args, **kwargs):
+        compiled.append(netlist)
+        init(self, netlist, *args, **kwargs)
+
+    monkeypatch.setattr(solver.CompiledNetlist, "__init__", counted)
+    rows, _ = compare_cpa(2.0)
+    assert len(rows) == 6
+    assert len(compiled) == len({id(nl) for nl in compiled}) == 6
 
 
 @pytest.mark.parametrize("cl", ["1", "2,2"])
