@@ -64,9 +64,9 @@ __all__ = [
 # carry path stays within striking distance of the full-swing version.
 _LOW_VTH_N = 37
 
-# The largest [vectors x nets] float64 table verify_design may ask the
-# solver for; larger requests are refused before anything is built.
-_MAX_TABLE_BYTES = 256 * 2**20
+# The most that verify_design may allocate per call, counted per vector;
+# larger requests are refused before anything is built.
+_MAX_VERIFY_BYTES = 256 * 2**20
 
 
 class AdderVariant(enum.Enum):
@@ -586,66 +586,83 @@ class VerifyReport:
         return self.failures == 0 and self.conflicts == 0 and self.nonconverged == 0
 
 
+def _exhaustive_columns(
+    design: FullAdder | Cpa,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Every vector of exhaustive verification: the A, B and carry-in
+    values, A slowest and carry-in fastest, and the voltage column of each
+    input port at the design's digit and carry voltages."""
+    radix = design.radix
+    span = radix**design.digits
+    a_vals = np.repeat(np.arange(span), span * 2)
+    b_vals = np.tile(np.repeat(np.arange(span), 2), span)
+    cin_vals = np.tile(np.array([0, 1]), span * span)
+    digit_step = design.vdd / (radix - 1)
+    columns: dict[str, np.ndarray] = {}
+    for i, port in enumerate(design.a_ports):
+        columns[port] = ((a_vals // radix**i) % radix) * digit_step
+    for i, port in enumerate(design.b_ports):
+        columns[port] = ((b_vals // radix**i) % radix) * digit_step
+    columns[design.cin_port] = cin_vals * design.swing_v
+    return a_vals, b_vals, cin_vals, columns
+
+
 def verify_design(design: FullAdder | Cpa) -> VerifyReport:
     """Drive every (A, B, carry-in) combination through the design's ports,
     at its own digit and carry voltages, and check the addition identity
     value(A) + value(B) + cin == value(S) + radix^digits * cout.
 
     Output digits must decode with full swing; conflicts, non-convergence
-    and floating outputs all count against the design.  A request whose
-    ``[vectors x nets]`` value table would exceed 256 MiB is a ValueError.
+    and floating outputs all count against the design.  The solver is asked
+    for the sum and carry-out nets only.  A request that would allocate
+    more than 256 MiB is a ValueError, raised before anything is built.  The
+    count is per vector: the A, B and carry-in values and the input
+    columns, and what :func:`solver.batch_row_bytes` counts.
     """
     radix, digits, vdd, carry_high_v = design.radix, design.digits, design.vdd, design.swing_v
     comp = design.compiled
+    outputs = (*design.s_ports, design.cout_port)
 
     span = radix**digits
     n_vec = span * span * 2
-    if n_vec * comp.n_nets * 8 > _MAX_TABLE_BYTES:
-        raise ValueError(
-            f"exhaustive verification of {n_vec:,} vectors over {comp.n_nets} nets "
-            f"exceeds the {_MAX_TABLE_BYTES // 2**20} MiB limit per [vectors x nets] table"
-        )
-    a_vals = np.repeat(np.arange(span), span * 2)
-    b_vals = np.tile(np.repeat(np.arange(span), 2), span)
-    cin_vals = np.tile(np.array([0, 1]), span * span)
-
     digit_step = vdd / (radix - 1)
-    columns: dict[str, np.ndarray] = {}
-    for i, port in enumerate(design.a_ports):
-        columns[port] = ((a_vals // radix**i) % radix) * digit_step
-    for i, port in enumerate(design.b_ports):
-        columns[port] = ((b_vals // radix**i) % radix) * digit_step
-    columns[design.cin_port] = cin_vals * carry_high_v
-
-    result = solver.solve_dc_batch(comp, columns)
+    digit_levels = np.arange(radix) * digit_step
+    carry_levels = np.array([0.0, carry_high_v])
+    n_volts = len({*comp.supply_v.values(), *digit_levels.tolist(), *carry_levels.tolist()})
+    row_bytes = 3 * 8 + 8 * len(comp.input_idx) + solver.batch_row_bytes(
+        comp, n_vec, n_volts, outputs
+    )
+    if n_vec * row_bytes > _MAX_VERIFY_BYTES:
+        raise ValueError(
+            f"exhaustive verification of {n_vec:,} vectors at {row_bytes} bytes each "
+            f"exceeds the {_MAX_VERIFY_BYTES // 2**20} MiB limit"
+        )
+    a_vals, b_vals, cin_vals, columns = _exhaustive_columns(design)
+    result = solver.solve_dc_batch(comp, columns, nets=outputs)
     band = FULL_SWING_BAND * vdd
 
-    def decode(port: str, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = result.values[:, comp.index[port]]
+    def decode(column: int, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        v = result.values[:, column]
         dist = np.abs(v[:, None] - levels[None, :])
         digit = np.nanargmin(np.where(np.isnan(dist), np.inf, dist), axis=1)
         best = dist[np.arange(len(v)), digit]
         ok = ~np.isnan(v) & (best <= band)
         return digit, ok
 
-    digit_levels = np.arange(radix) * digit_step
-    carry_levels = np.array([0.0, carry_high_v])
-
     sum_value = np.zeros(n_vec, dtype=np.int64)
     decode_ok = np.ones(n_vec, dtype=bool)
-    for i, port in enumerate(design.s_ports):
-        digit, ok = decode(port, digit_levels)
+    for i in range(digits):
+        digit, ok = decode(i, digit_levels)
         sum_value += digit * radix**i
         decode_ok &= ok
-    cout_digit, cout_ok = decode(design.cout_port, carry_levels)
+    cout_digit, cout_ok = decode(digits, carry_levels)
     decode_ok &= cout_ok
 
     expected = a_vals + b_vals + cin_vals
     got = sum_value + span * cout_digit
     fail = ~decode_ok | (got != expected) | result.conflict | result.nonconverged
 
-    out_idx = [comp.index[p] for p in (*design.s_ports, design.cout_port)]
-    floating_rows = np.isnan(result.values[:, out_idx]).any(axis=1)
+    floating_rows = np.isnan(result.values).any(axis=1)
 
     samples = []
     for v in np.nonzero(fail)[0][:20]:

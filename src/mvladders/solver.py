@@ -47,6 +47,7 @@ __all__ = [
     "solve_dc",
     "solve_dc_batch",
     "BatchResult",
+    "batch_row_bytes",
     "step_waveforms",
     "step_windows",
     "default_input_maps",
@@ -187,11 +188,13 @@ def _as_compiled(nl: Netlist | CompiledNetlist) -> CompiledNetlist:
 
 @dataclass
 class BatchResult:
-    """Vectorized cold-start solutions: one row per input vector."""
+    """Vectorized cold-start solutions: one row per input vector, and one
+    column of ``values`` and ``driven`` per net of ``names``: every net, or
+    the nets the call asked for."""
 
     names: tuple[str, ...]
-    values: np.ndarray       # [V, N] float64, NaN where undefined
-    driven: np.ndarray       # [V, N] bool
+    values: np.ndarray       # [V, len(names)] float64, NaN where undefined
+    driven: np.ndarray       # [V, len(names)] bool
     conflict: np.ndarray     # [V] bool
     nonconverged: np.ndarray  # [V] bool
     iterations: int
@@ -232,6 +235,7 @@ class _CcrPlan:
     whole: _Unit
     keyed: frozenset[int]   # nets some unit takes as a key column
     is_source: np.ndarray   # [nets] supplies and inputs
+    free: np.ndarray        # [nets] nets no unit owns: the sources and gate-only nets
     unit_of: dict[int, int]  # the unit owning each own net of some unit
     edge: np.ndarray        # id of each device's unordered (source, drain) pair
     rows: np.ndarray        # each unit's own, then its ext nets, unit after unit
@@ -381,6 +385,7 @@ def _build_plan(comp: CompiledNetlist) -> _CcrPlan:
         whole=_make_unit(comp, range(comp.n_devices), list(region)),
         keyed=frozenset(k for unit in units for k in unit.keys),
         is_source=np.isin(np.arange(comp.n_nets), list(sources)),
+        free=~np.isin(np.arange(comp.n_nets), list(region)),
         unit_of={net: u for u, unit in enumerate(units) for net in unit.nets.tolist()},
         edge=np.asarray(edge, dtype=np.intp),
         rows=np.asarray([n for r in rows for n in r], dtype=np.intp),
@@ -467,10 +472,16 @@ def _relax(
     )
 
 
+def _index_type(count: int) -> np.dtype:
+    """The narrowest unsigned type that holds the indices below ``count``."""
+    return np.min_scalar_type(max(count - 1, 0))
+
+
 def _rank(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Class of each value (NaN is one class of its own) and the class count."""
+    """Class of each value (NaN is one class of its own), narrowed, and the
+    class count."""
     uniq, inverse = np.unique(values, return_inverse=True)
-    return inverse, len(uniq)
+    return inverse.astype(_index_type(len(uniq))), len(uniq)
 
 
 _CODE_LIMIT = 1 << 62
@@ -480,23 +491,26 @@ def _distinct_rows(
     columns: Sequence[tuple[np.ndarray, int]], n_rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """First row of each distinct tuple of ranked columns, in ascending code
-    order, and each row's tuple.  Ranks combine in mixed radix, re-ranked
-    before the code could overflow int64.  A span of at most ``n_rows``
-    codes is counted densely, without a sort."""
+    order, and each row's tuple, narrowed.  Ranks combine in mixed radix,
+    re-ranked before the code could overflow int64.  A span of at most
+    ``n_rows`` codes is counted densely, without a sort."""
     code = np.zeros(n_rows, dtype=np.int64)
     span = 1
     for rank, classes in columns:
         if span * classes > _CODE_LIMIT:
-            code, span = _rank(code)
+            rank_of_code, span = _rank(code)
+            # a narrowed code would wrap in the products below
+            code = rank_of_code.astype(np.int64)
         code = code * classes + rank
         span *= classes
     if span > n_rows:
         _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        return first, inverse
-    first = np.full(span, n_rows)
-    np.minimum.at(first, code, np.arange(n_rows))
-    present = first < n_rows
-    return first[present], (np.cumsum(present) - 1)[code]
+    else:
+        first = np.full(span, n_rows)
+        np.minimum.at(first, code, np.arange(n_rows))
+        present = first < n_rows
+        first, inverse = first[present], (np.cumsum(present) - 1)[code]
+    return first, inverse.astype(_index_type(len(first)))
 
 
 class _ClassTable:
@@ -526,15 +540,52 @@ class _ClassTable:
         return np.array([self.index[key] for key in keys], dtype=np.intp)
 
 
+def _stored(comp: CompiledNetlist, nets: Sequence[str] | None) -> np.ndarray:
+    """[nets] bool: the nets :func:`solve_dc_batch` keeps a row of when it
+    is asked for ``nets``."""
+    if nets is None:
+        return np.ones(comp.n_nets, dtype=bool)
+    stored = comp.ccr_plan.free.copy()
+    stored[[comp.index[name] for name in nets]] = True
+    return stored
+
+
+def batch_row_bytes(
+    comp: CompiledNetlist, n_rows: int, n_volts: int, nets: Sequence[str] | None = None
+) -> int:
+    """The bytes per row that :func:`solve_dc_batch` allocates for
+    ``n_rows`` rows whose supplies and inputs take at most ``n_volts``
+    distinct voltages: a float and a driven flag per stored net, a rank per
+    keyed net, a table entry per unit, three flags, and the four int64 work
+    arrays of one unit's row bookkeeping.  Every solved value is a source
+    voltage or NaN, so a rank has at most ``n_volts + 1`` classes, and a
+    unit's entries at most that to the power of its key count.  The class
+    tables grow with distinct columns, not rows, and are left out."""
+    plan = comp.ccr_plan
+    classes = min(n_rows, n_volts + 1)
+    return (
+        9 * int(_stored(comp, nets).sum())
+        + 3
+        + 4 * 8
+        + _index_type(classes).itemsize * len(plan.keyed)
+        + sum(_index_type(min(n_rows, classes ** len(unit.keys))).itemsize for unit in plan.units)
+    )
+
+
 def solve_dc_batch(
-    nl: Netlist | CompiledNetlist, inputs: Mapping[str, np.ndarray]
+    nl: Netlist | CompiledNetlist,
+    inputs: Mapping[str, np.ndarray],
+    *,
+    nets: Sequence[str] | None = None,
 ) -> BatchResult:
     """Cold-start solve of many input vectors at once.
 
     ``inputs`` maps each input net to a voltage column; all columns must
-    share one length, and a netlist without inputs is one row.  This is the
-    library's only switch-level solver: :func:`solve_dc` and the stepping
-    functions call it.
+    share one length, and a netlist without inputs is one row.  ``nets``
+    names the columns of the result, in that order; by default they are
+    every net, in ``comp.names`` order.  This is the library's only
+    switch-level solver: :func:`solve_dc` and the stepping functions call it
+    for every net, and exhaustive verification for its outputs only.
 
     Units of channel-connected regions are solved in dependency order, each
     only on the distinct tuples of its key columns (its outside gate nets and
@@ -554,6 +605,13 @@ def solve_dc_batch(
     columns never interact in the relaxation, so equal bytes give equal
     bits, and a NaN payload or -0.0 can only miss.  The tables live for
     this call only.
+
+    Per row, the call keeps a float and a driven flag only for the stored
+    nets: the requested ones, the sources and the nets no unit owns.  A
+    unit keeps its table entries and each row's entry, and a keyed net
+    keeps each row's rank, as uint8 or uint16 where the counts allow.  A
+    net that is not stored is read from its unit's table where a later unit
+    takes it as a fixed value: those are the bits a stored row would hold.
     """
     comp = _as_compiled(nl)
     input_names = {comp.names[i] for i in comp.input_idx}
@@ -563,6 +621,10 @@ def solve_dc_batch(
     missing = input_names - set(inputs)
     if missing:
         raise SolverError(f"unassigned input nets: {sorted(missing)}")
+    if nets is not None:
+        unknown = set(nets).difference(comp.index)
+        if unknown:
+            raise SolverError(f"unknown nets requested: {sorted(unknown)}")
     columns = {name: np.asarray(col, dtype=np.float64) for name, col in inputs.items()}
     lengths = {len(c) for c in columns.values()}
     if len(lengths) > 1:
@@ -571,29 +633,49 @@ def solve_dc_batch(
     n_vec = lengths.pop() if lengths else 1
     plan = comp.ccr_plan
 
-    # Nets are rows so every per-net slice is contiguous.
-    val = np.full((comp.n_nets, n_vec), np.nan)
+    # Nets are rows so every per-net slice is contiguous; slot[net] is the
+    # net's row, or -1 if it is not stored.
+    stored = _stored(comp, nets)
+    slot = np.where(stored, np.cumsum(stored) - 1, -1)
+    val = np.full((int(stored.sum()), n_vec), np.nan)
     for i, v in comp.supply_v.items():
-        val[i] = v
+        val[slot[i]] = v
     for name, col in columns.items():
-        val[comp.index[name]] = col
+        val[slot[comp.index[name]]] = col
     driven = ~np.isnan(val)
 
     ranks: dict[int, tuple[np.ndarray, int]] = {}
     tables: dict[int, _ClassTable] = {}
+    hits: list[tuple[_ClassTable, np.ndarray, np.ndarray]] = []  # per unit
     redo = np.zeros(n_vec, dtype=bool)
     iterations = 0
-    for unit, cls in zip(plan.units, plan.classes):
+    unit_rows = slot[plan.rows]
+    for unit, cls, (start, stop) in zip(plan.units, plan.classes, plan.spans):
+        own_rows = unit_rows[start : start + len(unit.nets)]
+        ext_rows = unit_rows[start + len(unit.nets) : stop]
         for net in unit.keys:
             if net not in ranks:
-                ranks[net] = _rank(val[net])
+                ranks[net] = _rank(val[slot[net]])
         first, inverse = _distinct_rows([ranks[net] for net in unit.keys], n_vec)
+        fixed = val[np.ix_(ext_rows, first)]
+        if nets is not None:
+            # a net without a row (-1 read a placeholder) is read from the
+            # table of the unit that owns it
+            for j in np.flatnonzero(ext_rows < 0).tolist():
+                net = int(unit.ext[j])
+                owner_table, owner_entry, owner_inverse = hits[plan.unit_of[net]]
+                own_row = plan.units[plan.unit_of[net]].nets.searchsorted(net)
+                fixed[j] = owner_table.values[own_row, owner_entry[owner_inverse[first]]]
         table = tables.setdefault(cls, _ClassTable(len(unit.nets)))
-        entry = table.lookup(unit, val[np.ix_(unit.ext, first)])
+        entry = table.lookup(unit, fixed)
+        hits.append((table, entry, inverse))
         values = table.values[:, entry]
-        val[unit.nets] = values.take(inverse, axis=1)
-        hit_driven, hit_redo = table.driven[:, entry], table.redo[entry]
-        driven[unit.nets] = True if hit_driven.all() else hit_driven.take(inverse, axis=1)
+        kept = slice(None) if nets is None else own_rows >= 0
+        if own_rows[kept].size:
+            val[own_rows[kept]] = values[kept].take(inverse, axis=1)
+            hit_driven = table.driven[kept][:, entry]
+            driven[own_rows[kept]] = True if hit_driven.all() else hit_driven.take(inverse, axis=1)
+        hit_redo = table.redo[entry]
         if hit_redo.any():
             redo |= hit_redo.take(inverse)
         iterations = max(iterations, int(table.sweeps[entry].max(initial=0)))
@@ -608,13 +690,20 @@ def solve_dc_batch(
         rows = np.flatnonzero(redo)
         whole = plan.whole
         values, own_driven, _, conflict[rows], nonconverged[rows], sweeps = _relax(
-            whole, val[np.ix_(whole.ext, rows)]
+            whole, val[np.ix_(slot[whole.ext], rows)]
         )
-        val[np.ix_(whole.nets, rows)] = values
-        driven[np.ix_(whole.nets, rows)] = own_driven
+        kept = stored[whole.nets]
+        val[np.ix_(slot[whole.nets[kept]], rows)] = values[kept]
+        driven[np.ix_(slot[whole.nets[kept]], rows)] = own_driven[kept]
         iterations = max(iterations, int(sweeps.max()))
+    if nets is None:
+        names = comp.names
+    else:
+        names = tuple(nets)
+        picked = slot[[comp.index[name] for name in names]]
+        val, driven = val[picked], driven[picked]
     return BatchResult(
-        names=comp.names,
+        names=names,
         values=val.T,
         driven=driven.T,
         conflict=conflict,
@@ -787,6 +876,17 @@ def step_windows(
         maps = default_input_maps(comp.netlist)
     input_names = [comp.names[i] for i in comp.input_idx]
     columns: dict[str, list[float]] = {name: [] for name in input_names}
+    tables: dict[str, list[float]] = {}  # each port's level voltages
+
+    def volts(name: str, level: int) -> float:
+        if name not in tables:
+            tables[name] = [maps[name].volts(k) for k in range(maps[name].radix)]
+        table = tables[name]
+        # any level but an in-range int goes through volts(), which refuses it
+        if type(level) is int and 0 <= level < len(table):
+            return table[level]
+        return maps[name].volts(level)
+
     starts = [0]
     for waveforms in windows:
         missing = set(input_names) - set(waveforms)
@@ -799,7 +899,7 @@ def step_windows(
         if steps < 1:
             raise SolverError("waveforms must contain at least one step")
         for name in input_names:
-            columns[name].extend(maps[name].volts(level) for level in waveforms[name])
+            columns[name].extend(volts(name, level) for level in waveforms[name])
         starts.append(starts[-1] + steps)
 
     batch = solve_dc_batch(comp, columns)

@@ -313,6 +313,55 @@ def test_bench_steps_power_in_the_delay_batch(monkeypatch, model, single_stage_d
         ), design.label
 
 
+def test_bench_reads_each_port_level_once(monkeypatch, model):
+    # step_windows builds each input port's level table once per call, so a
+    # bench converts at most ports x radix digits to volts
+    from mvladders import logic
+
+    calls = []
+    check = logic.check_digit
+
+    def counted(radix, digit):
+        calls.append(digit)
+        return check(radix, digit)
+
+    cpa = build_cpa(CpaConfig(AdderVariant.TFA2, 4, CarrySwing.FULL))
+    monkeypatch.setattr(logic, "check_digit", counted)
+    bench(cpa, model, 2.0)
+    assert 0 < len(calls) <= len(cpa.input_maps()) * cpa.radix
+
+
+@pytest.mark.parametrize(
+    "variant, swing",
+    [
+        (AdderVariant.BFA1_14T, CarrySwing.FULL),
+        (AdderVariant.TFA2, CarrySwing.FULL),
+        (AdderVariant.TFA2, CarrySwing.REDUCED),
+        (AdderVariant.QFA2, CarrySwing.FULL),
+        (AdderVariant.QFA1, CarrySwing.REDUCED),
+    ],
+    ids=lambda v: v.value,
+)
+def test_carry_chain_delay_is_linear_in_width(model, variant, swing):
+    # the restoring carry inverter keeps the Cin -> Cout delay linear in the
+    # digit count: from 2 digits on, every stage adds the same delay, up to
+    # rounding.  A 1-digit CPA's only stage drives no next stage; for QFA2
+    # its delay at 2 fF lies 2.97 ps above the line through the wider CPAs,
+    # which puts r^2 at 0.99975 over 1 to 8 digits (1.0 from 2 digits on)
+    widths = np.arange(1, 9)
+    delays = np.array([
+        worst_case_delays(build_cpa(CpaConfig(variant, int(n), swing)), model, 2.0).cin_cout
+        for n in widths
+    ])
+    steps = np.diff(delays)
+    assert steps[1:] == pytest.approx(np.full(len(steps) - 1, steps[1]), rel=1e-9)
+    slope, intercept = np.polyfit(widths, delays, 1)
+    residual = delays - (slope * widths + intercept)
+    r2 = 1.0 - (residual**2).sum() / ((delays - delays.mean()) ** 2).sum()
+    assert r2 >= 0.9997
+    assert 16e-12 < slope < 68e-12
+
+
 @pytest.mark.parametrize("load", [-5.0, math.nan, math.inf])
 @pytest.mark.parametrize(
     "entry",

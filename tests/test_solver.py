@@ -669,6 +669,9 @@ def _ranked_columns(draw):
 
 
 _WIDE = [(np.array([5, 0, 5, 2]) << 28, _CODE_LIMIT >> 30)] * 3  # re-ranked after two
+# uint8 ranks, as the solver keeps them, re-ranked before the eighth column:
+# a uint8 code times 255 would wrap and reorder the rows
+_NARROW = [(np.array([3, 0, 2, 1], dtype=np.uint8), 255)] * 7 + [(np.zeros(4, np.uint8), 255)]
 
 
 @settings(max_examples=150)
@@ -677,6 +680,7 @@ _WIDE = [(np.array([5, 0, 5, 2]) << 28, _CODE_LIMIT >> 30)] * 3  # re-ranked aft
 @example(([(np.array([3]), 7)], 1))
 @example(([(np.array([1, 0, 1, 1, 0]), 2), (np.array([1, 1, 0, 1, 1]), 2)], 5))
 @example((_WIDE, 4))
+@example((_NARROW, 4))
 def test_distinct_rows_match_plain_reference(case):
     columns, n_rows = case
     first, inverse = _distinct_rows(columns, n_rows)
@@ -706,27 +710,89 @@ def _representative_rows_batch():
     return solve_dc_batch(nl, {"a": a, "b": b})
 
 
-def test_batch_results_match_recorded_digests(monkeypatch, single_stage_designs):
-    # the bits of every array and the sweep count of verify_design's batch on
-    # each design, and the representative row chosen among equal ranks
-    from mvladders import solver
-    from mvladders.adders import build_cpa, verify_design
+def test_batch_results_match_recorded_digests(single_stage_designs):
+    # the bits of every array and the sweep count of the full batch on each
+    # design's exhaustive verification columns, and the representative row
+    # chosen among equal ranks
+    from mvladders.adders import _exhaustive_columns, build_cpa
     from mvladders.cli import _COMPARE_CONFIGS
 
-    batches = []
-    solve = solver.solve_dc_batch
-
-    def recording(*args):
-        batches.append(solve(*args))
-        return batches[-1]
-
-    monkeypatch.setattr(solver, "solve_dc_batch", recording)
     digests = {}
     for design in [*single_stage_designs, *map(build_cpa, _COMPARE_CONFIGS)]:
-        verify_design(design)
-        (batch,) = batches
-        batches.clear()
-        digests[design.label] = _batch_digest(batch)
+        *_, columns = _exhaustive_columns(design)
+        digests[design.label] = _batch_digest(solve_dc_batch(design.compiled, columns))
     digests["representative rows"] = _batch_digest(_representative_rows_batch())
     recorded = json.loads((Path(__file__).parent / "golden" / "solver_digests.json").read_text())
     assert digests == recorded
+
+
+def _bits(array) -> bytes:
+    return np.ascontiguousarray(array).tobytes()
+
+
+def _assert_requested_nets_match_full_batch(comp, columns, nets):
+    """solve_dc_batch asked for ``nets`` has the full batch's bits on those
+    columns, and its conflict, non-convergence and sweep count."""
+    full = solve_dc_batch(comp, columns)
+    part = solve_dc_batch(comp, columns, nets=nets)
+    picked = [comp.index[name] for name in nets]
+    assert part.names == tuple(nets)
+    assert part.values.shape == (len(full.conflict), len(nets))
+    assert _bits(part.values) == _bits(full.values[:, picked])
+    assert _bits(part.driven) == _bits(full.driven[:, picked])
+    assert _bits(part.conflict) == _bits(full.conflict)
+    assert _bits(part.nonconverged) == _bits(full.nonconverged)
+    assert part.iterations == full.iterations
+    return full
+
+
+def test_requested_nets_have_the_full_batch_bits(single_stage_designs):
+    from mvladders.adders import _exhaustive_columns, build_cpa
+    from mvladders.cli import _COMPARE_CONFIGS
+
+    for design in [*single_stage_designs, *map(build_cpa, _COMPARE_CONFIGS)]:
+        *_, columns = _exhaustive_columns(design)
+        outputs = [*design.s_ports, design.cout_port]
+        _assert_requested_nets_match_full_batch(design.compiled, columns, outputs)
+
+
+def _gate_only_fixture():
+    # g gates y's pulldown but nothing drives it; a=1 turns on a vdd-gnd
+    # short, so those rows take the whole-netlist re-solve; x, which y's
+    # pullup takes as its gate, is solved in a unit of its own
+    return parse(
+        "SUPPLY vdd 0.9\nSUPPLY gnd 0\nINPUT a 2\nOUTPUT y 2\nNET g\nNET x\n"
+        "DEVICE N n=19 g=a s=vdd d=gnd\nDEVICE P n=19 g=a s=vdd d=x\n"
+        "DEVICE N n=19 g=a s=gnd d=x\nDEVICE P n=19 g=x s=vdd d=y\n"
+        "DEVICE N n=19 g=g s=gnd d=y\n"
+    )
+
+
+@st.composite
+def _requested_net_cases(draw):
+    nl, columns = draw(_random_cases())
+    nets = draw(st.lists(st.sampled_from(list(nl.nets)), unique=True))
+    return nl, columns, nets
+
+
+@settings(max_examples=150)
+@given(_requested_net_cases())
+@example((_gate_only_fixture(), {"a": np.array([0.0, 0.9, 0.0])}, ["y", "g"]))
+@example((_gate_only_fixture(), {"a": np.array([0.9, 0.0])}, []))
+def test_requested_nets_match_full_batch_on_random_netlists(case):
+    nl, columns, nets = case
+    _assert_requested_nets_match_full_batch(compile_netlist(nl), columns, nets)
+
+
+def test_gate_only_fixture_takes_both_paths():
+    comp = compile_netlist(_gate_only_fixture())
+    g = comp.index["g"]
+    assert comp.ccr_plan.free[g] and not comp.ccr_plan.is_source[g]
+    full = _assert_requested_nets_match_full_batch(comp, {"a": np.array([0.0, 0.9])}, ["y", "g"])
+    assert full.conflict.tolist() == [False, True]
+    assert np.isnan(full.values[:, g]).all()
+
+
+def test_unknown_requested_net_is_refused():
+    with pytest.raises(SolverError, match="unknown nets requested: \\['nope'\\]"):
+        solve_dc_batch(build(GateKind("Inverter")), {"a": np.array([0.0])}, nets=["y", "nope"])
