@@ -64,9 +64,13 @@ __all__ = [
 # carry path stays within striking distance of the full-swing version.
 _LOW_VTH_N = 37
 
-# The most that verify_design may allocate per call, counted per vector;
-# larger requests are refused before anything is built.
-_MAX_VERIFY_BYTES = 256 * 2**20
+# verify_design builds, solves and decodes this many vectors at a time, one
+# solve_dc_batch call each; at least 13,122, so every comparison CPA and
+# every single-stage adder is one chunk.
+_VERIFY_CHUNK = 16_384
+# The most vectors verify_design takes on; larger designs are refused before
+# anything is built.
+_MAX_VERIFY_VECTORS = 2**22
 
 
 class AdderVariant(enum.Enum):
@@ -586,17 +590,21 @@ class VerifyReport:
         return self.failures == 0 and self.conflicts == 0 and self.nonconverged == 0
 
 
-def _exhaustive_columns(
-    design: FullAdder | Cpa,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Every vector of exhaustive verification: the A, B and carry-in
-    values, A slowest and carry-in fastest, and the voltage column of each
-    input port at the design's digit and carry voltages."""
+def _exhaustive_operands(
+    design: FullAdder | Cpa, vectors: range
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The A, B and carry-in values of the given exhaustive vectors: A
+    slowest and carry-in fastest."""
+    span = design.radix**design.digits
+    k = np.arange(vectors.start, vectors.stop)
+    return k // (2 * span), (k // 2) % span, k % 2
+
+
+def _exhaustive_columns(design: FullAdder | Cpa, vectors: range) -> dict[str, np.ndarray]:
+    """The voltage column of each input port, at the design's digit and
+    carry voltages, over the given vectors of exhaustive verification."""
     radix = design.radix
-    span = radix**design.digits
-    a_vals = np.repeat(np.arange(span), span * 2)
-    b_vals = np.tile(np.repeat(np.arange(span), 2), span)
-    cin_vals = np.tile(np.array([0, 1]), span * span)
+    a_vals, b_vals, cin_vals = _exhaustive_operands(design, vectors)
     digit_step = design.vdd / (radix - 1)
     columns: dict[str, np.ndarray] = {}
     for i, port in enumerate(design.a_ports):
@@ -604,7 +612,7 @@ def _exhaustive_columns(
     for i, port in enumerate(design.b_ports):
         columns[port] = ((b_vals // radix**i) % radix) * digit_step
     columns[design.cin_port] = cin_vals * design.swing_v
-    return a_vals, b_vals, cin_vals, columns
+    return columns
 
 
 def verify_design(design: FullAdder | Cpa) -> VerifyReport:
@@ -614,73 +622,80 @@ def verify_design(design: FullAdder | Cpa) -> VerifyReport:
 
     Output digits must decode with full swing; conflicts, non-convergence
     and floating outputs all count against the design.  The solver is asked
-    for the sum and carry-out nets only.  A request that would allocate
-    more than 256 MiB is a ValueError, raised before anything is built.  The
-    count is per vector: the A, B and carry-in values and the input
-    columns, and what :func:`solver.batch_row_bytes` counts.
+    for the sum and carry-out nets only.  The vectors are built, solved and
+    decoded 16,384 at a time (``_VERIFY_CHUNK``), one
+    :func:`solver.solve_dc_batch` call per chunk, so memory follows the
+    chunk, not the width; the counts are summed and the first 20 failure
+    samples kept in vector order.  A design of more than 2^22 vectors
+    (``_MAX_VERIFY_VECTORS``) is a ValueError, raised before anything is
+    built.
     """
-    radix, digits, vdd, carry_high_v = design.radix, design.digits, design.vdd, design.swing_v
-    comp = design.compiled
-    outputs = (*design.s_ports, design.cout_port)
-
+    radix, digits, vdd = design.radix, design.digits, design.vdd
     span = radix**digits
     n_vec = span * span * 2
-    digit_step = vdd / (radix - 1)
-    digit_levels = np.arange(radix) * digit_step
-    carry_levels = np.array([0.0, carry_high_v])
-    n_volts = len({*comp.supply_v.values(), *digit_levels.tolist(), *carry_levels.tolist()})
-    row_bytes = 3 * 8 + 8 * len(comp.input_idx) + solver.batch_row_bytes(
-        comp, n_vec, n_volts, outputs
-    )
-    if n_vec * row_bytes > _MAX_VERIFY_BYTES:
+    if n_vec > _MAX_VERIFY_VECTORS:
         raise ValueError(
-            f"exhaustive verification of {n_vec:,} vectors at {row_bytes} bytes each "
-            f"exceeds the {_MAX_VERIFY_BYTES // 2**20} MiB limit"
+            f"exhaustive verification of {n_vec:,} vectors exceeds the bound of "
+            f"{_MAX_VERIFY_VECTORS:,} vectors"
         )
-    a_vals, b_vals, cin_vals, columns = _exhaustive_columns(design)
-    result = solver.solve_dc_batch(comp, columns, nets=outputs)
+    comp = design.compiled
+    outputs = (*design.s_ports, design.cout_port)
+    digit_levels = np.arange(radix) * (vdd / (radix - 1))
+    carry_levels = np.array([0.0, design.swing_v])
     band = FULL_SWING_BAND * vdd
 
-    def decode(column: int, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = result.values[:, column]
-        dist = np.abs(v[:, None] - levels[None, :])
-        digit = np.nanargmin(np.where(np.isnan(dist), np.inf, dist), axis=1)
-        best = dist[np.arange(len(v)), digit]
-        ok = ~np.isnan(v) & (best <= band)
-        return digit, ok
+    def decode(v: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        dist = np.abs(v[:, None] - levels)
+        dist[np.isnan(dist)] = np.inf
+        digit = dist.argmin(axis=1)
+        return digit, np.take_along_axis(dist, digit[:, None], axis=1)[:, 0] <= band
 
-    sum_value = np.zeros(n_vec, dtype=np.int64)
-    decode_ok = np.ones(n_vec, dtype=bool)
-    for i in range(digits):
-        digit, ok = decode(i, digit_levels)
-        sum_value += digit * radix**i
-        decode_ok &= ok
-    cout_digit, cout_ok = decode(digits, carry_levels)
-    decode_ok &= cout_ok
+    def check(vectors: range, result: solver.BatchResult) -> np.ndarray:
+        """The failure, conflict, non-convergence and floating-output counts
+        of one chunk; its failure samples join ``samples`` up to 20."""
+        sum_value = np.zeros(len(vectors), dtype=np.int64)
+        decode_ok = np.ones(len(vectors), dtype=bool)
+        for i in range(digits):
+            digit, ok = decode(result.values[:, i], digit_levels)
+            sum_value += digit * radix**i
+            decode_ok &= ok
+        cout_digit, cout_ok = decode(result.values[:, digits], carry_levels)
+        decode_ok &= cout_ok
 
-    expected = a_vals + b_vals + cin_vals
-    got = sum_value + span * cout_digit
-    fail = ~decode_ok | (got != expected) | result.conflict | result.nonconverged
-
-    floating_rows = np.isnan(result.values).any(axis=1)
-
-    samples = []
-    for v in np.nonzero(fail)[0][:20]:
-        samples.append(
-            f"A={value_to_digits(radix, int(a_vals[v]), digits)} "
-            f"B={value_to_digits(radix, int(b_vals[v]), digits)} "
-            f"cin={int(cin_vals[v])}: expected {int(expected[v])}, "
-            f"decoded {int(got[v])}"
-            + (" [conflict]" if result.conflict[v] else "")
-            + (" [floating]" if floating_rows[v] else "")
+        a_vals, b_vals, cin_vals = _exhaustive_operands(design, vectors)
+        expected = a_vals + b_vals + cin_vals
+        got = sum_value + span * cout_digit
+        fail = ~decode_ok | (got != expected) | result.conflict | result.nonconverged
+        floating_rows = np.isnan(result.values).any(axis=1)
+        for v in np.flatnonzero(fail)[: 20 - len(samples)].tolist():
+            samples.append(
+                f"A={value_to_digits(radix, int(a_vals[v]), digits)} "
+                f"B={value_to_digits(radix, int(b_vals[v]), digits)} "
+                f"cin={int(cin_vals[v])}: expected {int(expected[v])}, "
+                f"decoded {int(got[v])}"
+                + (" [conflict]" if result.conflict[v] else "")
+                + (" [floating]" if floating_rows[v] else "")
+            )
+        return np.array(
+            [fail.sum(), result.conflict.sum(), result.nonconverged.sum(), floating_rows.sum()]
         )
+
+    samples: list[str] = []
+    counts = np.zeros(4, dtype=np.int64)
+    for start in range(0, n_vec, _VERIFY_CHUNK):
+        vectors = range(start, min(start + _VERIFY_CHUNK, n_vec))
+        # not bound to a name, so each result is freed before the next solve
+        counts += check(
+            vectors, solver.solve_dc_batch(comp, _exhaustive_columns(design, vectors), nets=outputs)
+        )
+    failures, conflicts, nonconverged, floating_outputs = counts.tolist()
     return VerifyReport(
         design=design.label,
         vectors=n_vec,
-        failures=int(fail.sum()),
-        conflicts=int(result.conflict.sum()),
-        nonconverged=int(result.nonconverged.sum()),
-        floating_outputs=int(floating_rows.sum()),
+        failures=failures,
+        conflicts=conflicts,
+        nonconverged=nonconverged,
+        floating_outputs=floating_outputs,
         failure_samples=tuple(samples),
     )
 

@@ -47,7 +47,6 @@ __all__ = [
     "solve_dc",
     "solve_dc_batch",
     "BatchResult",
-    "batch_row_bytes",
     "step_waveforms",
     "step_windows",
     "default_input_maps",
@@ -190,7 +189,8 @@ def _as_compiled(nl: Netlist | CompiledNetlist) -> CompiledNetlist:
 class BatchResult:
     """Vectorized cold-start solutions: one row per input vector, and one
     column of ``values`` and ``driven`` per net of ``names``: every net, or
-    the nets the call asked for."""
+    the nets the call asked for, sources included.  ``iterations`` is the
+    largest sweep count over those rows."""
 
     names: tuple[str, ...]
     values: np.ndarray       # [V, len(names)] float64, NaN where undefined
@@ -221,6 +221,37 @@ class _Unit:
     sources: tuple[int, ...]  # the ext nets that are supplies or inputs, ascending
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class _Reads:
+    """Where each row of a unit's fixed column comes from: a constant (a
+    supply, or NaN for a gate-only net, which nothing drives), the caller's
+    input column, or the class table of the earlier unit that owns it."""
+
+    consts: np.ndarray  # [ext, 1] each supply's voltage, NaN on every other row
+    inputs: tuple[tuple[int, int], ...]      # (ext row, input net)
+    owned: tuple[tuple[int, int, int], ...]  # (ext row, owner unit, row among its own nets)
+
+
+def _make_reads(
+    comp: CompiledNetlist,
+    ext: np.ndarray,
+    inputs: set[int],
+    owner_of: Mapping[int, tuple[int, int]],
+) -> _Reads:
+    """``owner_of`` maps each net some unit owns to (unit, row among its
+    own nets)."""
+    consts = np.full((len(ext), 1), np.nan)
+    from_input, owned = [], []
+    for j, net in enumerate(ext.tolist()):
+        if net in inputs:
+            from_input.append((j, net))
+        elif net in owner_of:
+            owned.append((j, *owner_of[net]))
+        elif net in comp.supply_v:
+            consts[j] = comp.supply_v[net]
+    return _Reads(consts=consts, inputs=tuple(from_input), owned=tuple(owned))
+
+
 @dataclass(frozen=True, eq=False)
 class _CcrPlan:
     """Units in dependency order, plus the whole netlist as one unit.
@@ -228,14 +259,17 @@ class _CcrPlan:
     Units of one structural class have equal own and fixed row counts and
     equal device rows, polarities and thresholds, so :func:`_relax` gives
     them the same bits on the same fixed column.  The timing layer plans
-    settling per unit on the last five fields."""
+    settling per unit on ``unit_of``, ``edge``, ``rows`` and ``spans``."""
 
     units: tuple[_Unit, ...]
     classes: tuple[int, ...]  # structural class of each unit
     whole: _Unit
+    reads: tuple[_Reads, ...]  # of each unit, then of the whole netlist
+    # per unit: the keyed nets and the units whose tables no later unit reads
+    last_keys: tuple[tuple[int, ...], ...]
+    last_reads: tuple[tuple[int, ...], ...]
     keyed: frozenset[int]   # nets some unit takes as a key column
     is_source: np.ndarray   # [nets] supplies and inputs
-    free: np.ndarray        # [nets] nets no unit owns: the sources and gate-only nets
     unit_of: dict[int, int]  # the unit owning each own net of some unit
     edge: np.ndarray        # id of each device's unordered (source, drain) pair
     rows: np.ndarray        # each unit's own, then its ext nets, unit after unit
@@ -379,14 +413,31 @@ def _build_plan(comp: CompiledNetlist) -> _CcrPlan:
     edge = [
         pairs.setdefault((min(a, b), max(a, b)), len(pairs)) for a, b in zip(comp.dev_s, comp.dev_d)
     ]
+    whole = _make_unit(comp, range(comp.n_devices), list(region))
+    owner_of = {
+        net: (u, row) for u, unit in enumerate(units) for row, net in enumerate(unit.nets.tolist())
+    }
+    inputs = set(comp.input_idx)
+    reads = tuple(_make_reads(comp, unit.ext, inputs, owner_of) for unit in (*units, whole))
+    last_key = {net: u for u, unit in enumerate(units) for net in unit.keys}
+    last_read = {u: u for u in range(len(units))}
+    last_read.update((owner, u) for u, r in enumerate(reads[:-1]) for _, owner, _ in r.owned)
+    last_keys: list[list[int]] = [[] for _ in units]
+    last_reads: list[list[int]] = [[] for _ in units]
+    for net, u in last_key.items():
+        last_keys[u].append(net)
+    for owner, u in last_read.items():
+        last_reads[u].append(owner)
     return _CcrPlan(
         units=units,
         classes=classes,
-        whole=_make_unit(comp, range(comp.n_devices), list(region)),
-        keyed=frozenset(k for unit in units for k in unit.keys),
+        whole=whole,
+        reads=reads,
+        last_keys=tuple(map(tuple, last_keys)),
+        last_reads=tuple(map(tuple, last_reads)),
+        keyed=frozenset(last_key),
         is_source=np.isin(np.arange(comp.n_nets), list(sources)),
-        free=~np.isin(np.arange(comp.n_nets), list(region)),
-        unit_of={net: u for u, unit in enumerate(units) for net in unit.nets.tolist()},
+        unit_of={net: u for net, (u, _) in owner_of.items()},
         edge=np.asarray(edge, dtype=np.intp),
         rows=np.asarray([n for r in rows for n in r], dtype=np.intp),
         spans=tuple(zip(ends, ends[1:])),
@@ -540,36 +591,22 @@ class _ClassTable:
         return np.array([self.index[key] for key in keys], dtype=np.intp)
 
 
-def _stored(comp: CompiledNetlist, nets: Sequence[str] | None) -> np.ndarray:
-    """[nets] bool: the nets :func:`solve_dc_batch` keeps a row of when it
-    is asked for ``nets``."""
-    if nets is None:
-        return np.ones(comp.n_nets, dtype=bool)
-    stored = comp.ccr_plan.free.copy()
-    stored[[comp.index[name] for name in nets]] = True
-    return stored
-
-
-def batch_row_bytes(
-    comp: CompiledNetlist, n_rows: int, n_volts: int, nets: Sequence[str] | None = None
-) -> int:
-    """The bytes per row that :func:`solve_dc_batch` allocates for
-    ``n_rows`` rows whose supplies and inputs take at most ``n_volts``
-    distinct voltages: a float and a driven flag per stored net, a rank per
-    keyed net, a table entry per unit, three flags, and the four int64 work
-    arrays of one unit's row bookkeeping.  Every solved value is a source
-    voltage or NaN, so a rank has at most ``n_volts + 1`` classes, and a
-    unit's entries at most that to the power of its key count.  The class
-    tables grow with distinct columns, not rows, and are left out."""
-    plan = comp.ccr_plan
-    classes = min(n_rows, n_volts + 1)
-    return (
-        9 * int(_stored(comp, nets).sum())
-        + 3
-        + 4 * 8
-        + _index_type(classes).itemsize * len(plan.keyed)
-        + sum(_index_type(min(n_rows, classes ** len(unit.keys))).itemsize for unit in plan.units)
-    )
+def _fixed(
+    reads: _Reads,
+    columns: Mapping[int, np.ndarray],
+    rows: np.ndarray,
+    hits: Mapping[int, tuple[_ClassTable, np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """The fixed column of a unit on each of ``rows``, ``[ext, rows]``.  An
+    owned net is read from its owner's table through the owner's (table,
+    entry, inverse): those are the bits the owner scatters to a stored row."""
+    fixed = reads.consts.repeat(len(rows), axis=1)
+    for j, net in reads.inputs:
+        fixed[j] = columns[net][rows]
+    for j, owner, row in reads.owned:
+        table, entry, inverse = hits[owner]
+        fixed[j] = table.values[row, entry[inverse[rows]]]
+    return fixed
 
 
 def solve_dc_batch(
@@ -585,18 +622,18 @@ def solve_dc_batch(
     names the columns of the result, in that order; by default they are
     every net, in ``comp.names`` order.  This is the library's only
     switch-level solver: :func:`solve_dc` and the stepping functions call it
-    for every net, and exhaustive verification for its outputs only.
+    for every net, and exhaustive verification for its outputs only, one
+    chunk of rows at a time.
 
     Units of channel-connected regions are solved in dependency order, each
     only on the distinct tuples of its key columns (its outside gate nets and
     boundary inputs), and scattered back to every row.  The driven and
     re-solve flags are gathered per row only where the entries a unit hits
-    differ.  A row in which some
-    unit joins unequal source voltages or fails to converge is solved again
-    with the whole netlist as one unit: a short then poisons every net it
-    reaches through a shared supply, and ``nonconverged`` keeps the
-    whole-netlist meaning.  ``iterations`` is the largest sweep count of any
-    unit on any row.
+    differ.  A row in which some unit joins unequal source voltages or fails
+    to converge is solved again with the whole netlist as one unit: a short
+    then poisons every net it reaches through a shared supply, and
+    ``nonconverged`` keeps the whole-netlist meaning.  ``iterations`` is the
+    largest sweep count of any unit on any row.
 
     Units with the same structure (own and fixed row counts, device rows,
     polarities and thresholds) form a class, and the call keeps one table
@@ -606,12 +643,13 @@ def solve_dc_batch(
     bits, and a NaN payload or -0.0 can only miss.  The tables live for
     this call only.
 
-    Per row, the call keeps a float and a driven flag only for the stored
-    nets: the requested ones, the sources and the nets no unit owns.  A
-    unit keeps its table entries and each row's entry, and a keyed net
-    keeps each row's rank, as uint8 or uint16 where the counts allow.  A
-    net that is not stored is read from its unit's table where a later unit
-    takes it as a fixed value: those are the bits a stored row would hold.
+    Per row, the call keeps a float and a driven flag only for the nets of
+    the result.  A unit reads its fixed values from constants (supplies),
+    from the caller's input columns, and from the class table of the unit
+    that owns each of its gate nets, through that unit's table entries and
+    each row's entry; a keyed net keeps each row's rank.  Ranks and entries
+    are uint8 or uint16 where the counts allow, and each is dropped after
+    the last unit that reads it.
     """
     comp = _as_compiled(nl)
     input_names = {comp.names[i] for i in comp.input_idx}
@@ -621,57 +659,56 @@ def solve_dc_batch(
     missing = input_names - set(inputs)
     if missing:
         raise SolverError(f"unassigned input nets: {sorted(missing)}")
-    if nets is not None:
+    if nets is None:
+        order = list(range(comp.n_nets))
+    else:
         unknown = set(nets).difference(comp.index)
         if unknown:
             raise SolverError(f"unknown nets requested: {sorted(unknown)}")
-    columns = {name: np.asarray(col, dtype=np.float64) for name, col in inputs.items()}
+        order = list(dict.fromkeys(comp.index[name] for name in nets))
+    columns = {comp.index[name]: np.asarray(col, dtype=np.float64) for name, col in inputs.items()}
     lengths = {len(c) for c in columns.values()}
     if len(lengths) > 1:
         raise SolverError("batch input columns must share one length")
     # without inputs there is one vector to solve: the supplies alone
     n_vec = lengths.pop() if lengths else 1
-    plan = comp.ccr_plan
 
-    # Nets are rows so every per-net slice is contiguous; slot[net] is the
-    # net's row, or -1 if it is not stored.
-    stored = _stored(comp, nets)
-    slot = np.where(stored, np.cumsum(stored) - 1, -1)
-    val = np.full((int(stored.sum()), n_vec), np.nan)
+    # Nets of the result are rows, so every per-net slice is contiguous;
+    # slot[net] is the net's row, or -1 if it has none.
+    slot = np.full(comp.n_nets, -1, dtype=np.intp)
+    slot[order] = np.arange(len(order))
+    plan = comp.ccr_plan
+    val = np.full((int((slot >= 0).sum()), n_vec), np.nan)
     for i, v in comp.supply_v.items():
-        val[slot[i]] = v
-    for name, col in columns.items():
-        val[slot[comp.index[name]]] = col
+        if slot[i] >= 0:
+            val[slot[i]] = v
+    for i, col in columns.items():
+        if slot[i] >= 0:
+            val[slot[i]] = col
     driven = ~np.isnan(val)
 
     ranks: dict[int, tuple[np.ndarray, int]] = {}
     tables: dict[int, _ClassTable] = {}
-    hits: list[tuple[_ClassTable, np.ndarray, np.ndarray]] = []  # per unit
+    hits: dict[int, tuple[_ClassTable, np.ndarray, np.ndarray]] = {}  # per unit
     redo = np.zeros(n_vec, dtype=bool)
     iterations = 0
     unit_rows = slot[plan.rows]
-    for unit, cls, (start, stop) in zip(plan.units, plan.classes, plan.spans):
-        own_rows = unit_rows[start : start + len(unit.nets)]
-        ext_rows = unit_rows[start + len(unit.nets) : stop]
+    for u, (unit, cls, reads, (start, stop)) in enumerate(
+        zip(plan.units, plan.classes, plan.reads, plan.spans)
+    ):
         for net in unit.keys:
             if net not in ranks:
-                ranks[net] = _rank(val[slot[net]])
+                # an input's column, or a gate-only net's: NaN throughout
+                column = columns[net] if net in columns else np.full(n_vec, np.nan)
+                ranks[net] = _rank(column)
         first, inverse = _distinct_rows([ranks[net] for net in unit.keys], n_vec)
-        fixed = val[np.ix_(ext_rows, first)]
-        if nets is not None:
-            # a net without a row (-1 read a placeholder) is read from the
-            # table of the unit that owns it
-            for j in np.flatnonzero(ext_rows < 0).tolist():
-                net = int(unit.ext[j])
-                owner_table, owner_entry, owner_inverse = hits[plan.unit_of[net]]
-                own_row = plan.units[plan.unit_of[net]].nets.searchsorted(net)
-                fixed[j] = owner_table.values[own_row, owner_entry[owner_inverse[first]]]
         table = tables.setdefault(cls, _ClassTable(len(unit.nets)))
-        entry = table.lookup(unit, fixed)
-        hits.append((table, entry, inverse))
+        entry = table.lookup(unit, _fixed(reads, columns, first, hits))
+        hits[u] = table, entry, inverse
         values = table.values[:, entry]
-        kept = slice(None) if nets is None else own_rows >= 0
-        if own_rows[kept].size:
+        own_rows = unit_rows[start : start + len(unit.nets)]
+        kept = own_rows >= 0
+        if kept.any():
             val[own_rows[kept]] = values[kept].take(inverse, axis=1)
             hit_driven = table.driven[kept][:, entry]
             driven[own_rows[kept]] = True if hit_driven.all() else hit_driven.take(inverse, axis=1)
@@ -679,10 +716,14 @@ def solve_dc_batch(
         if hit_redo.any():
             redo |= hit_redo.take(inverse)
         iterations = max(iterations, int(table.sweeps[entry].max(initial=0)))
-        for row, net in enumerate(unit.nets):
+        for row, net in enumerate(unit.nets.tolist()):
             if net in plan.keyed:
                 rank, classes = _rank(values[row])
                 ranks[net] = rank.take(inverse), classes
+        for net in plan.last_keys[u]:
+            del ranks[net]
+        for owner in plan.last_reads[u]:
+            del hits[owner]
 
     conflict = np.zeros(n_vec, dtype=bool)
     nonconverged = np.zeros(n_vec, dtype=bool)
@@ -690,16 +731,16 @@ def solve_dc_batch(
         rows = np.flatnonzero(redo)
         whole = plan.whole
         values, own_driven, _, conflict[rows], nonconverged[rows], sweeps = _relax(
-            whole, val[np.ix_(slot[whole.ext], rows)]
+            whole, _fixed(plan.reads[-1], columns, rows, {})
         )
-        kept = stored[whole.nets]
-        val[np.ix_(slot[whole.nets[kept]], rows)] = values[kept]
-        driven[np.ix_(slot[whole.nets[kept]], rows)] = own_driven[kept]
+        own_rows = slot[whole.nets]
+        kept = own_rows >= 0
+        val[np.ix_(own_rows[kept], rows)] = values[kept]
+        driven[np.ix_(own_rows[kept], rows)] = own_driven[kept]
         iterations = max(iterations, int(sweeps.max()))
-    if nets is None:
-        names = comp.names
-    else:
-        names = tuple(nets)
+    names = comp.names if nets is None else tuple(nets)
+    if len(order) < len(names):
+        # a net named twice repeats its row
         picked = slot[[comp.index[name] for name in names]]
         val, driven = val[picked], driven[picked]
     return BatchResult(

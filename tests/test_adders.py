@@ -1,11 +1,13 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from mvladders import adders
 from mvladders.adders import (
     AdderVariant,
     CpaConfig,
@@ -217,30 +219,69 @@ def test_netlists_match_recorded_digests():
     assert {d.label: _netlist_digest(d) for d in designs} == recorded
 
 
-def test_verify_exhaustive_reports_failures():
-    # a wrong netlist must be reported, not masked: swap the sum mux data
+def _broken_bfa3():
     fa = build_full_adder(AdderVariant.BFA3_MUX)
     bad_text = serialize(fa.netlist).replace("g=cinb s=s0 d=Sum", "g=cinb s=s1 d=Sum")
-    bad = parse(bad_text)
-    report = verify_design(replace(fa, netlist=bad))
+    return replace(fa, netlist=parse(bad_text))
+
+
+def test_verify_exhaustive_reports_failures():
+    # a wrong netlist must be reported, not masked: swap the sum mux data
+    report = verify_design(_broken_bfa3())
     assert report.failures > 0
 
 
-def test_verify_keeps_only_its_output_nets():
-    # the solver is asked for the sums and the carry-out only; at the full
-    # [vectors x nets] table this design's tracemalloc peak was 19.6 MiB
-    import tracemalloc
+def test_chunked_verification_matches_one_chunk(monkeypatch, single_stage_designs):
+    # counts and failure samples do not depend on the chunk size.  The
+    # 2-digit CPA's first sum mux has its data swapped, so every one of its
+    # 162 vectors fails and the 20 samples kept end inside a chunk.
+    cpa = build_cpa(CpaConfig(AdderVariant.TFA2, 2, CarrySwing.FULL))
+    text = serialize(cpa.netlist).replace("s=fa0_s0 d=S0", "s=swap d=S0")
+    text = text.replace("s=fa0_s1 d=S0", "s=fa0_s0 d=S0").replace("s=swap d=S0", "s=fa0_s1 d=S0")
+    designs = [*single_stage_designs, replace(cpa, netlist=parse(text)), _broken_bfa3()]
+    whole = [verify_design(design) for design in designs]
+    assert whole[-2].failures == 162 and len(whole[-2].failure_samples) == 20
+    assert whole[-1].failure_samples
+    for size in (1, 2, 7, 64):
+        monkeypatch.setattr(adders, "_VERIFY_CHUNK", size)
+        assert [verify_design(design) for design in designs] == whole, size
 
+
+def test_chunked_verification_of_a_comparison_cpa(monkeypatch):
     cpa = build_cpa(CpaConfig(AdderVariant.TFA2, 4, CarrySwing.FULL))
-    cpa.compiled.ccr_plan
+    whole = verify_design(cpa)
+    monkeypatch.setattr(adders, "_VERIFY_CHUNK", 4096)
+    assert verify_design(cpa) == whole
+
+
+def _verify_peak(design):
+    """The report and the tracemalloc peak of verifying a compiled design."""
+    design.compiled.ccr_plan
     tracemalloc.start()
     try:
-        report = verify_design(cpa)
+        report = verify_design(design)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return report, peak
+
+
+def test_verify_keeps_only_its_output_nets():
+    # the solver keeps a row per vector for the sums and the carry-out
+    # only; this design's tracemalloc peak was 19.6 MiB with the full
+    # [vectors x nets] table and 4.9 MiB with rows for every source
+    report, peak = _verify_peak(build_cpa(CpaConfig(AdderVariant.TFA2, 4, CarrySwing.FULL)))
     assert report.ok and report.vectors == 13_122
-    assert peak < 8 * 2**20
+    assert peak < 3.5 * 2**20
+
+
+def test_verify_memory_follows_the_chunk_not_the_width():
+    # 118,098 vectors in 8 chunks; solved in one piece, the peak was about
+    # ten times the 4-digit one
+    _, peak4 = _verify_peak(build_cpa(CpaConfig(AdderVariant.TFA2, 4, CarrySwing.FULL)))
+    report, peak5 = _verify_peak(build_cpa(CpaConfig(AdderVariant.TFA2, 5, CarrySwing.FULL)))
+    assert report.ok and report.vectors == 118_098
+    assert peak5 <= 2 * peak4
 
 
 def test_area_additivity():

@@ -1,8 +1,10 @@
 import io
+import math
 import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvladders import solver
 from mvladders.analysis import CSV_HEADER
@@ -66,8 +68,15 @@ def test_verify_refuses_oversize_request(monkeypatch):
         tracemalloc.stop()
     assert status == ExitStatus.BAD_REQUEST
     assert out == ""
-    assert "9,565,938 vectors" in err and "256 MiB" in err
+    assert "9,565,938 vectors" in err and "4,194,304 vectors" in err
     assert peak < 16 * 2**20
+
+
+def test_verify_refuses_a_64_digit_cpa_at_once():
+    status, out, err = run_cli(["verify", "bfa1,digits=64"])
+    assert status == ExitStatus.BAD_REQUEST
+    assert out == ""
+    assert err.endswith(" vectors exceeds the bound of 4,194,304 vectors\n")
 
 
 def test_bench_csv_and_label():
@@ -269,3 +278,101 @@ def test_run_reduced_carry_scale_annotation(tmp_path):
     assert status == ExitStatus.OK
     assert "Sum = 0.9 V (digit 2)" in out
     assert "Cout = 0.45 V (digit 1 at the 0.45 V scale)" in out
+
+
+_INVERTER = (
+    "SUPPLY vdd 0.9\nSUPPLY gnd 0\nINPUT a 2\nOUTPUT y 2\n"
+    "DEVICE P n=19 g=a s=vdd d=y\nDEVICE N n=19 g=a s=gnd d=y\n"
+)
+# q and qb hold each other: with both pass devices off they float
+_LATCH = (
+    "SUPPLY vdd 0.9\nSUPPLY gnd 0\nINPUT a 2\nINPUT en 2\nOUTPUT q 2\nNET qb\n"
+    "DEVICE P n=19 g=q s=vdd d=qb\nDEVICE N n=19 g=q s=gnd d=qb\n"
+    "DEVICE P n=19 g=qb s=vdd d=q\nDEVICE N n=19 g=qb s=gnd d=q\n"
+    "DEVICE N n=19 g=en s=a d=q\n"
+)
+# a = 1 shorts vdd to gnd
+_CLASH = (
+    "SUPPLY vdd 0.9\nSUPPLY gnd 0\nINPUT a 2\nOUTPUT y 2\n"
+    "DEVICE N n=19 g=a s=gnd d=vdd\nDEVICE P n=19 g=a s=vdd d=y\nDEVICE N n=19 g=a s=gnd d=y\n"
+)
+
+
+@pytest.fixture(scope="module")
+def run_netlists(tmp_path_factory):
+    """Netlist files for ``run`` and their input nets: an inverter, a latch,
+    a supply short and a dumped (hierarchical) 2-digit TFA1 CPA."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    _, cpa, _ = run_cli(["dump", "tfa1,digits=2"])
+    files = {
+        "inv.net": (_INVERTER, ["a"]),
+        "latch.net": (_LATCH, ["a", "en"]),
+        "clash.net": (_CLASH, ["a"]),
+        "cpa.net": (cpa, ["A0", "A1", "B0", "B1", "C0"]),
+    }
+    for name, (text, _) in files.items():
+        (folder / name).write_text(text)
+    return [(str(folder / name), inputs) for name, (_, inputs) in files.items()]
+
+
+_NUMBERS = st.sampled_from(
+    ["0", "0.5", "2", "-1", "1e-300", "1e200", "1e308", "nan", "inf", "-inf", "x", ""]
+) | st.floats(0, 50).map(repr)
+
+
+@st.composite
+def _design_specs(draw):
+    parts = [draw(st.sampled_from(["tfa1", "tfa2", "qfa1", "qfa2", "bfa1", "bfa2", "bfa3", "zfa9"]))]
+    options = {
+        "swing": st.sampled_from(["reduced", "full", "half"]),
+        "vdd": st.sampled_from(["0.9", "0.45", "0", "-0.9", "1e308", "nan", "inf", "x"]),
+        "digits": st.sampled_from(["0", "1", "2", "-1", "2.5", "x"]),
+    }
+    for key, values in options.items():
+        if draw(st.booleans()):
+            parts.append(f"{key}={draw(values)}")
+    return ",".join(parts)
+
+
+@st.composite
+def _cli_argvs(draw, netlists):
+    command = draw(st.sampled_from(["verify", "bench", "sweep", "run"]))
+    if command == "run":
+        path, inputs = draw(st.sampled_from(netlists))
+        levels = st.sampled_from(
+            ["0", "1"] * 6 + ["2", "3", "-1", "0.45V", "1e400V", "nanV", "x", ""]
+        )
+        # every input, bar an occasional one left out, and now and then a stray
+        items = [(name, draw(levels)) for name in inputs if draw(st.integers(0, 9))]
+        if not draw(st.integers(0, 4)):
+            items.append((draw(st.sampled_from(["zz", *inputs])), draw(levels)))
+        assignment = ",".join(f"{name}={level}" for name, level in items)
+        return ["run", path, f"--inputs={assignment}"]
+    argv = [command, draw(_design_specs())]
+    if command == "bench" and draw(st.booleans()):
+        argv.append(f"--cl={draw(_NUMBERS)}")
+    if command == "sweep" and draw(st.booleans()):
+        separator = draw(st.sampled_from([",", " "]))
+        argv.append(f"--cl={separator.join(draw(st.lists(_NUMBERS, max_size=3)))}")
+    return argv
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_cli_fuzz_gives_documented_statuses_and_finite_csv(run_netlists, data):
+    argv = data.draw(_cli_argvs(run_netlists))
+    try:
+        status, out, err = run_cli(argv)
+    except SystemExit as exc:  # argparse refuses malformed options itself
+        status, out, err = exc.code, "", ""
+    assert status in {0, 1, 2, 3}, argv
+    assert "Traceback" not in err, argv
+    lines = out.splitlines()
+    if CSV_HEADER in lines:
+        n_fields = len(CSV_HEADER.split(","))
+        for row in lines[lines.index(CSV_HEADER) + 1 :]:
+            if row.startswith("#"):
+                break
+            # the design label holds commas of its own; the rest are numbers
+            for field in row.rsplit(",", n_fields - 1)[1:]:
+                assert math.isfinite(float(field)), (argv, row)

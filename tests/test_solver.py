@@ -18,6 +18,7 @@ from mvladders.solver import (
     Conflict,
     DcState,
     _CODE_LIMIT,
+    BatchResult,
     _distinct_rows,
     NonConvergenceError,
     SolverError,
@@ -710,16 +711,24 @@ def _representative_rows_batch():
     return solve_dc_batch(nl, {"a": a, "b": b})
 
 
+def _all_columns(design) -> dict[str, np.ndarray]:
+    """The input columns of every vector of the design's exhaustive
+    verification."""
+    from mvladders.adders import _exhaustive_columns
+
+    return _exhaustive_columns(design, range(2 * (design.radix**design.digits) ** 2))
+
+
 def test_batch_results_match_recorded_digests(single_stage_designs):
     # the bits of every array and the sweep count of the full batch on each
     # design's exhaustive verification columns, and the representative row
     # chosen among equal ranks
-    from mvladders.adders import _exhaustive_columns, build_cpa
+    from mvladders.adders import build_cpa
     from mvladders.cli import _COMPARE_CONFIGS
 
     digests = {}
     for design in [*single_stage_designs, *map(build_cpa, _COMPARE_CONFIGS)]:
-        *_, columns = _exhaustive_columns(design)
+        columns = _all_columns(design)
         digests[design.label] = _batch_digest(solve_dc_batch(design.compiled, columns))
     digests["representative rows"] = _batch_digest(_representative_rows_batch())
     recorded = json.loads((Path(__file__).parent / "golden" / "solver_digests.json").read_text())
@@ -747,11 +756,11 @@ def _assert_requested_nets_match_full_batch(comp, columns, nets):
 
 
 def test_requested_nets_have_the_full_batch_bits(single_stage_designs):
-    from mvladders.adders import _exhaustive_columns, build_cpa
+    from mvladders.adders import build_cpa
     from mvladders.cli import _COMPARE_CONFIGS
 
     for design in [*single_stage_designs, *map(build_cpa, _COMPARE_CONFIGS)]:
-        *_, columns = _exhaustive_columns(design)
+        columns = _all_columns(design)
         outputs = [*design.s_ports, design.cout_port]
         _assert_requested_nets_match_full_batch(design.compiled, columns, outputs)
 
@@ -779,6 +788,9 @@ def _requested_net_cases(draw):
 @given(_requested_net_cases())
 @example((_gate_only_fixture(), {"a": np.array([0.0, 0.9, 0.0])}, ["y", "g"]))
 @example((_gate_only_fixture(), {"a": np.array([0.9, 0.0])}, []))
+# sources only: an input and a supply, which no unit owns
+@example((build(GateKind("Inverter")), {"a": np.array([0.0, 0.9, 0.45])}, ["a", "gnd"]))
+@example((build(GateKind("Inverter")), {"a": np.array([0.9, 0.0])}, ["vdd_900mv", "a", "a"]))
 def test_requested_nets_match_full_batch_on_random_netlists(case):
     nl, columns, nets = case
     _assert_requested_nets_match_full_batch(compile_netlist(nl), columns, nets)
@@ -787,10 +799,68 @@ def test_requested_nets_match_full_batch_on_random_netlists(case):
 def test_gate_only_fixture_takes_both_paths():
     comp = compile_netlist(_gate_only_fixture())
     g = comp.index["g"]
-    assert comp.ccr_plan.free[g] and not comp.ccr_plan.is_source[g]
+    assert g not in comp.ccr_plan.unit_of and not comp.ccr_plan.is_source[g]
     full = _assert_requested_nets_match_full_batch(comp, {"a": np.array([0.0, 0.9])}, ["y", "g"])
     assert full.conflict.tolist() == [False, True]
     assert np.isnan(full.values[:, g]).all()
+
+
+def _chunked(comp, columns, cuts, nets=None):
+    """One BatchResult from a :func:`solve_dc_batch` call per chunk of the
+    rows of ``columns`` split at ``cuts``."""
+    bounds = [0, *cuts, len(next(iter(columns.values())))]
+    parts = [
+        solve_dc_batch(comp, {name: col[a:b] for name, col in columns.items()}, nets=nets)
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    return BatchResult(
+        names=parts[0].names,
+        values=np.concatenate([p.values for p in parts]),
+        driven=np.concatenate([p.driven for p in parts]),
+        conflict=np.concatenate([p.conflict for p in parts]),
+        nonconverged=np.concatenate([p.nonconverged for p in parts]),
+        iterations=max(p.iterations for p in parts),
+    )
+
+
+def test_row_chunks_reproduce_recorded_digests(single_stage_designs):
+    # the recorded one-call digests, from one call per row chunk at
+    # several chunk sizes: a row's bits do not depend on the other rows
+    from mvladders.adders import build_cpa
+    from mvladders.cli import _COMPARE_CONFIGS
+
+    recorded = json.loads((Path(__file__).parent / "golden" / "solver_digests.json").read_text())
+    for design in [*single_stage_designs, *map(build_cpa, _COMPARE_CONFIGS)]:
+        columns = _all_columns(design)
+        n_vec = len(next(iter(columns.values())))
+        for size in (5, 3000, 5000):
+            if not 1 < -(-n_vec // size) <= 10:
+                continue
+            cuts = list(range(size, n_vec, size))
+            batch = _chunked(design.compiled, columns, cuts)
+            assert _batch_digest(batch) == recorded[design.label], (design.label, size)
+
+
+@st.composite
+def _split_cases(draw):
+    nl, columns = draw(st.one_of(_random_cases(), _repeated_cell_cases()))
+    n_vec = len(next(iter(columns.values()))) if columns else 1
+    cuts = sorted(draw(st.sets(st.integers(1, max(n_vec - 1, 1)), max_size=3)) - {n_vec})
+    nets = draw(st.none() | st.lists(st.sampled_from(list(nl.nets)), unique=True))
+    return nl, columns, cuts, nets
+
+
+@settings(max_examples=75)
+@given(_split_cases())
+def test_row_chunks_match_one_call_on_random_netlists(case):
+    nl, columns, cuts, nets = case
+    comp = compile_netlist(nl)
+    whole = solve_dc_batch(comp, columns, nets=nets)
+    chunked = _chunked(comp, columns, cuts, nets)
+    assert chunked.names == whole.names
+    for field in ("values", "driven", "conflict", "nonconverged"):
+        assert _bits(getattr(chunked, field)) == _bits(getattr(whole, field)), field
+    assert chunked.iterations == whole.iterations
 
 
 def test_unknown_requested_net_is_refused():
