@@ -32,7 +32,6 @@ from .solver import (
     NonConvergenceError,
     SolverError,
     StepTrace,
-    conducts,
     solve_dc,
     solve_dc_batch,
     step_waveforms,

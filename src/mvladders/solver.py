@@ -33,7 +33,7 @@ import numpy as np
 
 from .device import Polarity
 from .logic import VoltageMap
-from .netlist import Device, Netlist
+from .netlist import Netlist
 
 __all__ = [
     "Conflict",
@@ -41,7 +41,6 @@ __all__ = [
     "StepTrace",
     "SolverError",
     "NonConvergenceError",
-    "conducts",
     "compile_netlist",
     "CompiledNetlist",
     "solve_dc",
@@ -101,15 +100,6 @@ def _overdrive(is_n, vth, vg, vs, vd):
     positive.  One unknown (NaN) channel end is ignored; an unknown gate or
     two unknown ends give NaN, which compares False."""
     return np.where(is_n, vg - np.fmin(vs, vd), np.fmax(vs, vd) - vg) - vth
-
-
-def conducts(device: Device, v_gate: float, v_a: float, v_b: float) -> bool:
-    """Ideal-switch conduction test with all terminal voltages known.
-
-    N conducts iff v_gate - min(v_a, v_b) > Vth; P iff max(v_a, v_b) - v_gate > Vth.
-    """
-    is_n = device.spec.polarity is Polarity.N
-    return bool(_overdrive(is_n, device.spec.threshold_v, v_gate, v_a, v_b) > 0)
 
 
 @dataclass

@@ -1,12 +1,18 @@
+import concurrent.futures
+import dataclasses
 import io
 import math
+import multiprocessing
+import os
 import sys
+import threading
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvladders import solver
+from mvladders import cli, solver
+from mvladders.adders import VerifyReport
 from mvladders.analysis import CSV_HEADER
 from mvladders.cli import ExitStatus, compare_cpa, main, parse_design_spec
 
@@ -139,7 +145,9 @@ def test_binary_reduced_swing_spec_is_refused(spec):
 
 
 def test_compare_cpa_compiles_each_design_once(monkeypatch):
-    # counted where every compile ends, whichever module asks for it
+    # compare_cpa may run its jobs in worker processes, out of this
+    # counter's reach, so each design's job runs here in turn.  Counted
+    # where every compile ends, whichever module asks for it.
     compiled = []
     init = solver.CompiledNetlist.__init__
 
@@ -148,9 +156,89 @@ def test_compare_cpa_compiles_each_design_once(monkeypatch):
         init(self, netlist, *args, **kwargs)
 
     monkeypatch.setattr(solver.CompiledNetlist, "__init__", counted)
-    rows, _ = compare_cpa(2.0)
-    assert len(rows) == 6
+    for k, cfg in enumerate(cli._COMPARE_CONFIGS):
+        report, row = cli._compare_design(cfg, 2.0)
+        assert report.ok and row.design == cfg.label
+        assert len(compiled) == k + 1
     assert len(compiled) == len({id(nl) for nl in compiled}) == 6
+
+
+def _use_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def test_compare_cpa_rows_do_not_depend_on_worker_count(monkeypatch):
+    results = {}
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        rows, checks = compare_cpa(2.0)
+        assert multiprocessing.active_children() == []
+        results[cpus] = [dataclasses.astuple(row) for row in rows], checks
+    assert results[1] == results[2]
+    assert len(results[1][0]) == 6
+
+
+def test_compare_cpa_does_not_fork_a_threaded_process(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # any pool fails
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        rows, _ = compare_cpa(2.0)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(rows) == 6
+
+
+def _dies(cfg, cl_ff):
+    os._exit(1)
+
+
+def _fails_verification(cfg, cl_ff):
+    return VerifyReport(cfg.label, 10, 2, 1, 0, 0, ()), None
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="without fork _dies would run in this process",
+)
+def test_compare_cpa_reports_a_dead_worker(monkeypatch, tmp_path):
+    _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "_compare_design", _dies)  # forked workers inherit it
+    assert threading.active_count() == 1  # else _dies would run in this process
+    status, out, err = run_cli(["compare-cpa", "--out", str(tmp_path / "report")])
+    assert status == ExitStatus.SOLVER_TROUBLE
+    assert out == ""
+    assert err.startswith("compare-cpa: a worker process died")
+    assert "Traceback" not in err
+    assert not (tmp_path / "report").exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_compare_cpa_reports_the_first_failed_design(monkeypatch, tmp_path, cpus):
+    _use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(cli, "_compare_design", _fails_verification)
+    status, out, err = run_cli(["compare-cpa", "--out", str(tmp_path / "report")])
+    assert status == ExitStatus.VERIFY_FAILED
+    assert out == ""
+    assert err == "verification failed for 6xBFA1_14T[full,0.9V]: 2 failures, 1 conflicts\n"
+    assert not (tmp_path / "report").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_compare_cpa_refuses_an_out_path_that_is_a_file(tmp_path):
+    target = tmp_path / "report"
+    target.write_text("keep\n")
+    status, out, err = run_cli(["compare-cpa", "--out", str(target)])
+    assert status == ExitStatus.BAD_REQUEST
+    assert out == ""
+    assert err.startswith(f"cannot write report to {target}: ")
+    assert target.read_text() == "keep\n"
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("cl", ["1", "2,2"])
@@ -224,6 +312,16 @@ def test_run_parse_error_status(tmp_path):
     status, _, err = run_cli(["run", str(f), "--inputs", ""])
     assert status == ExitStatus.BAD_REQUEST
     assert "unknown directive" in err
+
+
+def test_run_refuses_a_file_that_is_not_utf8(tmp_path):
+    f = tmp_path / "bad.net"
+    f.write_bytes(b"\xff\xfe\x00bad")
+    status, out, err = run_cli(["run", str(f)])
+    assert status == ExitStatus.BAD_REQUEST
+    assert out == ""
+    assert err.startswith(f"cannot read {f}: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

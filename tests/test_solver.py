@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mvladders.device import CntfetSpec, Polarity
+from mvladders.device import Polarity
 from mvladders.gates import GateKind, build
 from mvladders.logic import VoltageMap
-from mvladders.netlist import Device, NetlistBuilder, parse, serialize
+from mvladders.netlist import NetlistBuilder, parse, serialize
 from mvladders.solver import (
     Conflict,
     DcState,
@@ -23,7 +23,6 @@ from mvladders.solver import (
     NonConvergenceError,
     SolverError,
     compile_netlist,
-    conducts,
     solve_dc,
     solve_dc_batch,
     step_waveforms,
@@ -60,20 +59,6 @@ def _changes(trace) -> list[dict[str, tuple[float | None, float]]]:
             for i in np.flatnonzero(trace.moved[k]).tolist()
         })
     return changes
-
-
-def _dev(pol, n):
-    return Device(CntfetSpec(pol, n), "g", "s", "d")
-
-
-def test_conducts_examples():
-    # n=19 N with mid gate passes a low channel
-    assert conducts(_dev(Polarity.N, 19), 0.45, 0.0, 0.0)
-    # n=10 P with 0.45 gate cannot pass 0.9 (overdrive below threshold)
-    assert not conducts(_dev(Polarity.P, 10), 0.45, 0.9, 0.9)
-    # grounded-gate N never conducts for non-negative channels
-    for va, vb in itertools.product((0.0, 0.45, 0.9), repeat=2):
-        assert not conducts(_dev(Polarity.N, 19), 0.0, va, vb)
 
 
 def test_inverter_dc():
