@@ -33,7 +33,9 @@ has the same bits priced alone, with other loads or from a reused plan.
 Every load the timing layer prices must be finite and non-negative.
 
 Energy is C * dV^2 summed over changed nets per step, with no short-circuit
-or leakage term; this matches the conflict-free circuit style.
+or leakage term; this matches the conflict-free circuit style.  A benchmark
+waveform has a nominal step of 1 ns, so its power is that energy over
+(steps - 1) ns.
 
 Calibration: c_gate = 0.10 fF, c_diff = 0.05 fF, and rho set so a reference
 n=19 inverter at 0.9 V driving 2 fF settles in 10 ps.  These constants are
@@ -86,7 +88,7 @@ __all__ = [
 _FF = 1e-15
 _REFERENCE_DELAY_S = 10e-12
 _REFERENCE_LOAD_F = 2e-15
-_CHANGE_TOL = 1e-9
+_STEP_S = 1e-9  # nominal duration of one waveform step
 
 MODEL_NOTE = (
     "calibrated-model values (first-order RC, 10 ps reference inverter); "
@@ -132,7 +134,8 @@ def node_capacitance(
     nl: Netlist | CompiledNetlist, model: TimingModel, loads_f: Mapping[str, float] | None = None
 ) -> np.ndarray:
     """Capacitance in farads of every net, indexed like ``comp.names``: gate
-    terminals, channel terminals, loads."""
+    terminals, channel terminals, loads.  A negative or non-finite load is
+    refused."""
     comp = _as_compiled(nl)
     g, s, d, _, _ = comp.device_arrays
     n = comp.n_nets
@@ -142,6 +145,8 @@ def node_capacitance(
     for name, extra in (loads_f or {}).items():
         if name not in comp.index:
             raise AnalysisError(f"load on unknown net {name!r}")
+        if not (math.isfinite(extra) and extra >= 0):
+            raise AnalysisError(f"load on {name!r} must be finite and >= 0 F, got {extra:g}")
         caps[comp.index[name]] += extra
     return caps
 
@@ -399,8 +404,8 @@ def path_delay(
     caps = _load_caps(comp, model, [loads_ff])
     if from_net not in comp.index or to_net not in comp.index:
         raise AnalysisError("unknown from/to net")
-    moved = trace.moved[:, comp.index[from_net]]
-    steps = [k for k in range(1, len(trace)) if from_net in trace.stepped[k] or moved[k]]
+    # row 0 of moved is all False
+    steps = np.flatnonzero(trace.moved[:, comp.index[from_net]]).tolist()
     if not steps:
         raise AnalysisError(f"{from_net!r} never transitions in the trace window")
     ((worst,),) = _worst_settle(trace, model, caps, steps, [comp.index[to_net]], {})
@@ -487,7 +492,7 @@ def _delays(
     targets = [comp.index[design.s_ports[-1]], comp.index[design.cout_port]]
     plans: dict = {}  # unit plans shared by every window, for this pass only
     for stepped, trace in windows:
-        steps = [k for k in range(1, len(trace)) if stepped in trace.stepped[k]]
+        steps = np.flatnonzero(trace.moved[:, comp.index[stepped]]).tolist()
         t_sum, t_cout = _worst_settle(trace, model, caps, steps, targets, plans)
         prefix = "cin" if stepped == design.cin_port else "in"
         best[f"{prefix}_sum"] = list(map(max, best[f"{prefix}_sum"], t_sum))
@@ -605,7 +610,7 @@ def _bench_rows(
     load_maps = [dict.fromkeys(design.loaded_nets(), cl_ff) for cl_ff in loads]
     caps = _load_caps(comp, model, load_maps)
     windows, (trace,) = _delay_traces(design, comp, power_waveforms(design))
-    period = trace.times[-1] - trace.times[0]
+    period = (len(trace) - 1) * _STEP_S
     area_nm = area(design.netlist)
     rows = []
     delays_per_load = _delays(design, windows, model, caps)

@@ -58,8 +58,7 @@ class VoltageMap:
 
     @property
     def levels(self) -> tuple[float, ...]:
-        step = self.vdd / (self.radix - 1)
-        return tuple(k * step for k in range(self.radix))
+        return tuple(map(self.volts, range(self.radix)))
 
     def volts(self, digit: int) -> float:
         check_digit(self.radix, digit)

@@ -16,7 +16,9 @@ repeated stages of a carry-propagate adder, share one table per call: each
 distinct fixed column is relaxed once and its result reused bit for bit.
 :func:`solve_dc` is its one-row case, and :func:`step_windows` and
 :func:`step_waveforms` solve every column of their waveforms in one call to
-it before applying charge retention step by step.
+it before applying charge retention step by step.  Results hold the solved
+arrays and conflicts only: no sweep count, and a trace's steps are numbered,
+not timed.
 The tests check the engine vector by vector against an independent
 union-find reference.
 """
@@ -74,24 +76,17 @@ class Conflict:
 class DcState:
     """Solved node voltages for one input vector.
 
-    ``voltages`` holds every net with a defined value, including retained
-    values on floating nets during waveform stepping.  Nets in ``floating``
-    have no driver; nets inside a conflict have no value at all.
-    ``iterations`` is the largest per-unit sweep count of the batch solve
-    that produced the state.
+    ``voltages`` holds every net with a defined value.  Nets in
+    ``floating`` have no driver; nets inside a conflict have no value at
+    all.
     """
 
     voltages: dict[str, float]
     floating: frozenset[str]
     conflicts: tuple[Conflict, ...]
-    iterations: int
 
     def voltage(self, net: str) -> float | None:
         return self.voltages.get(net)
-
-    @property
-    def ok(self) -> bool:
-        return not self.conflicts
 
 
 def _overdrive(is_n, vth, vg, vs, vd):
@@ -179,15 +174,13 @@ def _as_compiled(nl: Netlist | CompiledNetlist) -> CompiledNetlist:
 class BatchResult:
     """Vectorized cold-start solutions: one row per input vector, and one
     column of ``values`` and ``driven`` per net of ``names``: every net, or
-    the nets the call asked for, sources included.  ``iterations`` is the
-    largest sweep count over those rows."""
+    the nets the call asked for, sources included."""
 
     names: tuple[str, ...]
     values: np.ndarray       # [V, len(names)] float64, NaN where undefined
     driven: np.ndarray       # [V, len(names)] bool
     conflict: np.ndarray     # [V] bool
     nonconverged: np.ndarray  # [V] bool
-    iterations: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,23 +464,22 @@ def _conduction(unit: _Unit, val: np.ndarray) -> np.ndarray:
 
 def _relax(
     unit: _Unit, fixed: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cold-start conduction fixed point of one unit, one column per row of
     ``fixed`` (the values of ``unit.ext``).
 
-    Returns (values, driven, spread, conflict, nonconverged, sweeps):
-    values and driven over the unit's own nets; per row, ``spread`` marks a
-    component joining unequal source voltages, ``conflict`` one whose
-    voltages differ by more than _EPS, and ``sweeps`` the sweep in which the
-    row stopped changing (``unit.cap`` if it never did).  Columns never
-    interact: a column's bits do not depend on the others.
+    Returns (values, driven, spread, conflict, nonconverged): values and
+    driven over the unit's own nets; per row, ``spread`` marks a component
+    joining unequal source voltages, ``conflict`` one whose voltages differ
+    by more than _EPS, and ``nonconverged`` a row still changing after
+    ``unit.cap`` sweeps.  Columns never interact: a column's bits do not
+    depend on the others.
     """
     n_own, n_rows = len(unit.nets), fixed.shape[1]
     val = np.concatenate([np.full((n_own, n_rows), np.nan), fixed])
     lo = np.concatenate([np.full((n_own, n_rows), np.inf), fixed])
     hi = np.concatenate([np.full((n_own, n_rows), -np.inf), fixed])
     cond = np.zeros((len(unit.g), n_rows), dtype=bool)
-    sweeps = np.ones(n_rows, dtype=np.intp)
     for _ in range(unit.cap):
         new_cond = _conduction(unit, val)
         vmin, vmax = _components(unit, new_cond, lo, hi)
@@ -500,8 +492,6 @@ def _relax(
         val[:n_own] = new_val
         if not changed.any():
             break
-        # a column that stopped changing recomputes the same values
-        sweeps += changed
     driven = vmin <= vmax
     return (
         val[:n_own],
@@ -509,7 +499,6 @@ def _relax(
         (vmax > vmin).any(axis=0),
         (driven & (vmax - vmin > _EPS)).any(axis=0),
         changed,
-        np.minimum(sweeps, unit.cap),
     )
 
 
@@ -564,20 +553,18 @@ class _ClassTable:
         self.values = np.empty((n_own, 0))
         self.driven = np.empty((n_own, 0), dtype=bool)
         self.redo = np.empty(0, dtype=bool)
-        self.sweeps = np.empty(0, dtype=np.intp)
 
     def lookup(self, unit: _Unit, fixed: np.ndarray) -> np.ndarray:
         """The entry of each column of ``fixed``, relaxing the new ones."""
         keys = [column.tobytes() for column in fixed.T]
         new = {key: j for j, key in enumerate(keys) if key not in self.index}
         if new:
-            values, driven, spread, _, nonconv, sweeps = _relax(unit, fixed[:, list(new.values())])
+            values, driven, spread, _, nonconv = _relax(unit, fixed[:, list(new.values())])
             for key in new:
                 self.index[key] = len(self.index)
             self.values = np.concatenate([self.values, values], axis=1)
             self.driven = np.concatenate([self.driven, driven], axis=1)
             self.redo = np.concatenate([self.redo, spread | nonconv])
-            self.sweeps = np.concatenate([self.sweeps, sweeps])
         return np.array([self.index[key] for key in keys], dtype=np.intp)
 
 
@@ -622,8 +609,7 @@ def solve_dc_batch(
     differ.  A row in which some unit joins unequal source voltages or fails
     to converge is solved again with the whole netlist as one unit: a short
     then poisons every net it reaches through a shared supply, and
-    ``nonconverged`` keeps the whole-netlist meaning.  ``iterations`` is the
-    largest sweep count of any unit on any row.
+    ``nonconverged`` keeps the whole-netlist meaning.
 
     Units with the same structure (own and fixed row counts, device rows,
     polarities and thresholds) form a class, and the call keeps one table
@@ -681,7 +667,6 @@ def solve_dc_batch(
     tables: dict[int, _ClassTable] = {}
     hits: dict[int, tuple[_ClassTable, np.ndarray, np.ndarray]] = {}  # per unit
     redo = np.zeros(n_vec, dtype=bool)
-    iterations = 0
     unit_rows = slot[plan.rows]
     for u, (unit, cls, reads, (start, stop)) in enumerate(
         zip(plan.units, plan.classes, plan.reads, plan.spans)
@@ -705,7 +690,6 @@ def solve_dc_batch(
         hit_redo = table.redo[entry]
         if hit_redo.any():
             redo |= hit_redo.take(inverse)
-        iterations = max(iterations, int(table.sweeps[entry].max(initial=0)))
         for row, net in enumerate(unit.nets.tolist()):
             if net in plan.keyed:
                 rank, classes = _rank(values[row])
@@ -720,14 +704,13 @@ def solve_dc_batch(
     if redo.any():
         rows = np.flatnonzero(redo)
         whole = plan.whole
-        values, own_driven, _, conflict[rows], nonconverged[rows], sweeps = _relax(
+        values, own_driven, _, conflict[rows], nonconverged[rows] = _relax(
             whole, _fixed(plan.reads[-1], columns, rows, {})
         )
         own_rows = slot[whole.nets]
         kept = own_rows >= 0
         val[np.ix_(own_rows[kept], rows)] = values[kept]
         driven[np.ix_(own_rows[kept], rows)] = own_driven[kept]
-        iterations = max(iterations, int(sweeps.max()))
     names = comp.names if nets is None else tuple(nets)
     if len(order) < len(names):
         # a net named twice repeats its row
@@ -739,7 +722,6 @@ def solve_dc_batch(
         driven=driven.T,
         conflict=conflict,
         nonconverged=nonconverged,
-        iterations=iterations,
     )
 
 
@@ -794,22 +776,14 @@ def _conflict_groups(
 
 
 def _dc_state(
-    comp: CompiledNetlist,
-    values: list[float],
-    driven: list[bool],
-    conflicts: tuple[Conflict, ...],
-    iterations: int,
+    comp: CompiledNetlist, values: list[float], driven: list[bool], conflicts: tuple[Conflict, ...]
 ) -> DcState:
-    """One solved row as a :class:`DcState`.  A value on an undriven net is
-    retained charge; those are listed after the driven nets."""
+    """One cold-solved row as a :class:`DcState`: an undriven net is NaN."""
     names = comp.names
-    voltages = {n: v for n, v, on in zip(names, values, driven) if on and not math.isnan(v)}
-    voltages.update(
-        (n, v) for n, v, on in zip(names, values, driven) if not on and not math.isnan(v)
-    )
-    floating = frozenset(n for n, on in zip(names, driven) if not on)
     return DcState(
-        voltages=voltages, floating=floating, conflicts=conflicts, iterations=iterations
+        voltages={n: v for n, v in zip(names, values) if not math.isnan(v)},
+        floating=frozenset(n for n, on in zip(names, driven) if not on),
+        conflicts=conflicts,
     )
 
 
@@ -832,7 +806,6 @@ def solve_dc(nl: Netlist | CompiledNetlist, inputs: Mapping[str, float]) -> DcSt
         batch.values[0].tolist(),
         batch.driven[0].tolist(),
         _conflict_groups(comp, batch).get(0, ()),
-        batch.iterations,
     )
 
 
@@ -849,24 +822,15 @@ class StepTrace:
     that is not driven keeps its previous value (charge retention):
     ``values[k, i]`` is the solved voltage if ``driven[k, i]`` and
     ``values[k - 1, i]`` otherwise.  ``conflicts[k]`` lists the supply
-    conflicts of step k and ``stepped[k]`` the inputs whose level changed.
-
-    ``moved`` is a view built on first use.  ``iterations`` belongs to the
-    whole :func:`step_windows` call that made the trace: the largest sweep
-    count over all of its windows.
+    conflicts of step k.  ``moved``, built on first use, marks the nets
+    that moved at each step; an input moves exactly at the steps where its
+    level changes.
     """
 
     comp: CompiledNetlist
-    times: tuple[float, ...]
     values: np.ndarray      # [steps, nets] float64
     driven: np.ndarray      # [steps, nets] bool
     conflicts: tuple[tuple[Conflict, ...], ...]
-    stepped: tuple[frozenset[str], ...]
-    iterations: int
-
-    @property
-    def netlist(self) -> Netlist:
-        return self.comp.netlist
 
     def __len__(self) -> int:
         return len(self.values)
@@ -891,8 +855,6 @@ def step_windows(
     nl: Netlist | CompiledNetlist,
     windows: Sequence[Mapping[str, Sequence[int]]],
     maps: Mapping[str, VoltageMap] | None = None,
-    *,
-    dt: float = 1e-9,
 ) -> Iterator[StepTrace]:
     """Quasi-static stepping of several independent waveform windows.
 
@@ -900,7 +862,8 @@ def step_windows(
     :func:`solve_dc_batch` call; charge retention is then applied as a
     forward fill within each window.  That is exact because retained charge
     never gates a device.  Each window's first column is its solved initial
-    vector.  The traces share the batch's arrays.
+    vector.  The traces share the batch's arrays; an input's ``moved``
+    column marks the steps where its level changes.
     """
     comp = _as_compiled(nl)
     if maps is None:
@@ -952,19 +915,12 @@ def step_windows(
     values = np.take_along_axis(batch.values, source, axis=0)
 
     def trace(window: int) -> StepTrace:
-        waveforms = windows[window]
         first, stop = starts[window], starts[window + 1]
         return StepTrace(
             comp=comp,
-            times=tuple(k * dt for k in range(stop - first)),
             values=values[first:stop],
             driven=batch.driven[first:stop],
             conflicts=tuple(conflicts.get(row, ()) for row in range(first, stop)),
-            stepped=(frozenset(),) + tuple(
-                frozenset(n for n in input_names if waveforms[n][k] != waveforms[n][k - 1])
-                for k in range(1, stop - first)
-            ),
-            iterations=batch.iterations,
         )
 
     return (trace(window) for window in range(len(windows)))
@@ -974,10 +930,8 @@ def step_waveforms(
     nl: Netlist | CompiledNetlist,
     waveforms: Mapping[str, Sequence[int]],
     maps: Mapping[str, VoltageMap] | None = None,
-    *,
-    dt: float = 1e-9,
 ) -> StepTrace:
     """Quasi-static stepping of one waveform window: :func:`step_windows`
     with a single window.  The first column is the solved initial vector."""
-    (trace,) = step_windows(nl, [waveforms], maps, dt=dt)
+    (trace,) = step_windows(nl, [waveforms], maps)
     return trace

@@ -65,7 +65,7 @@ def reference_solve(nl, inputs) -> DcState | None:
     ]
     val: list[float | None] = [sources.get(i) for i in range(n)]
     cond = None
-    for sweep in range(1, 3 + 2 * len(devices)):
+    for _ in range(2 + 2 * len(devices)):
         new_cond = [_conducts(is_n, vth, val[g], val[s], val[d]) for is_n, vth, g, s, d in devices]
         parent = list(range(n))
         for on, (_, _, _, s, d) in zip(new_cond, devices):
@@ -91,7 +91,6 @@ def reference_solve(nl, inputs) -> DcState | None:
                     for root, vs in sorted(distinct.items())
                     if len(vs) > 1
                 ),
-                iterations=sweep,
             )
         cond, val = new_cond, new_val
     return None

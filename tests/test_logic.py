@@ -107,6 +107,14 @@ def test_voltage_map_band():
     assert vmap.levels == (0.0, 0.45, 0.9)
 
 
+@pytest.mark.parametrize("vdd", [0.9, 0.45])
+@pytest.mark.parametrize("radix", [2, 3, 4])
+def test_voltage_map_levels_are_the_digit_volts(radix, vdd):
+    # bit for bit: k * (vdd / 3) gives 0.8999999999999999 at k = 3, vdd = 0.9
+    vmap = VoltageMap(vdd, radix)
+    assert vmap.levels == tuple(vmap.volts(k) for k in range(radix))
+
+
 def test_carry_swing_voltages():
     assert CarrySwing.REDUCED.carry_high_v(3, 0.9) == pytest.approx(0.45)
     assert CarrySwing.REDUCED.carry_high_v(4, 0.9) == pytest.approx(0.3)

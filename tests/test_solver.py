@@ -40,7 +40,6 @@ def _states(trace) -> list[DcState]:
             voltages={n: v for n, v in zip(names, values) if not math.isnan(v)},
             floating=frozenset(n for n, on in zip(names, driven) if not on),
             conflicts=conflicts,
-            iterations=trace.iterations,
         )
         for values, driven, conflicts in zip(
             trace.values.tolist(), trace.driven.tolist(), trace.conflicts
@@ -165,7 +164,6 @@ def test_step_waveforms_records_deltas_and_retention():
     # the series midpoint of the disabled branch keeps its old voltage
     floats = states[1].floating
     retained = [n for n in floats if states[1].voltage(n) is not None]
-    assert trace.times == (0.0, 1e-9)
 
 
 def test_qfa2_staircase_sum_trace():
@@ -261,21 +259,6 @@ def _two_digit_cpa(variant, swing):
     from mvladders.logic import CarrySwing
 
     return build_cpa(CpaConfig(AdderVariant[variant], 2, CarrySwing(swing)))
-
-
-def test_batch_iterations_are_the_largest_row_count(single_stage_designs):
-    # a unit that reuses another's solved column reports that column's own
-    # sweep count, so a batch counts what its rows count one by one
-    cpas = [_two_digit_cpa(*case) for case in _TWO_DIGIT_CASES]
-    for design in [*single_stage_designs, *cpas]:
-        comp = compile_netlist(design.netlist)
-        columns = _every_vector(design.input_maps())
-        rows = [
-            solve_dc(comp, {name: float(col[row]) for name, col in columns.items()})
-            for row in range(len(next(iter(columns.values()))))
-        ]
-        batch = solve_dc_batch(comp, columns)
-        assert batch.iterations == max(state.iterations for state in rows), design.label
 
 
 def test_comparison_cpas_share_few_unit_classes():
@@ -545,9 +528,10 @@ def _reference_maps(nl):
 
 def _assert_windows_match_reference(nl, maps, windows) -> int:
     """step_windows agrees with reference_step on every window: values with
-    retained charge, floating nets, conflicts, changes, stepped inputs and
-    times.  Returns how many retained values the windows hold."""
-    traces = list(step_windows(nl, windows, maps, dt=2e-9))
+    retained charge, floating nets, conflicts, changes, and the stepped
+    inputs, which are the inputs that moved.  Returns how many retained
+    values the windows hold."""
+    traces = list(step_windows(nl, windows, maps))
     assert len(traces) == len(windows)
     retained = 0
     for waves, trace in zip(windows, traces):
@@ -557,8 +541,11 @@ def _assert_windows_match_reference(nl, maps, windows) -> int:
         assert [s.floating for s in got] == [s.floating for s in states]
         assert [s.conflicts for s in got] == [s.conflicts for s in states]
         assert list(_changes(trace)) == changes
-        assert list(trace.stepped) == stepped
-        assert trace.times == tuple(2e-9 * k for k in range(len(states)))
+        inputs = [net.name for net in nl.inputs]
+        assert [
+            frozenset(n for n in inputs if trace.moved[k, trace.comp.index[n]])
+            for k in range(len(trace))
+        ] == stepped
         retained += sum(n in s.voltages for s in got for n in s.floating)
     return retained
 
@@ -677,7 +664,6 @@ def _batch_digest(batch) -> str:
     digest = hashlib.sha256()
     for array in (batch.values, batch.driven, batch.conflict, batch.nonconverged):
         digest.update(np.ascontiguousarray(array).tobytes())
-    digest.update(str(batch.iterations).encode())
     return digest.hexdigest()
 
 
@@ -705,9 +691,9 @@ def _all_columns(design) -> dict[str, np.ndarray]:
 
 
 def test_batch_results_match_recorded_digests(single_stage_designs):
-    # the bits of every array and the sweep count of the full batch on each
-    # design's exhaustive verification columns, and the representative row
-    # chosen among equal ranks
+    # the bits of every array of the full batch on each design's exhaustive
+    # verification columns, and the representative row chosen among equal
+    # ranks
     from mvladders.adders import build_cpa
     from mvladders.cli import _COMPARE_CONFIGS
 
@@ -726,7 +712,7 @@ def _bits(array) -> bytes:
 
 def _assert_requested_nets_match_full_batch(comp, columns, nets):
     """solve_dc_batch asked for ``nets`` has the full batch's bits on those
-    columns, and its conflict, non-convergence and sweep count."""
+    columns, and its conflict and non-convergence."""
     full = solve_dc_batch(comp, columns)
     part = solve_dc_batch(comp, columns, nets=nets)
     picked = [comp.index[name] for name in nets]
@@ -736,7 +722,6 @@ def _assert_requested_nets_match_full_batch(comp, columns, nets):
     assert _bits(part.driven) == _bits(full.driven[:, picked])
     assert _bits(part.conflict) == _bits(full.conflict)
     assert _bits(part.nonconverged) == _bits(full.nonconverged)
-    assert part.iterations == full.iterations
     return full
 
 
@@ -804,7 +789,6 @@ def _chunked(comp, columns, cuts, nets=None):
         driven=np.concatenate([p.driven for p in parts]),
         conflict=np.concatenate([p.conflict for p in parts]),
         nonconverged=np.concatenate([p.nonconverged for p in parts]),
-        iterations=max(p.iterations for p in parts),
     )
 
 
@@ -845,7 +829,6 @@ def test_row_chunks_match_one_call_on_random_netlists(case):
     assert chunked.names == whole.names
     for field in ("values", "driven", "conflict", "nonconverged"):
         assert _bits(getattr(chunked, field)) == _bits(getattr(whole, field)), field
-    assert chunked.iterations == whole.iterations
 
 
 def test_unknown_requested_net_is_refused():
