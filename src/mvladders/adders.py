@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .device import Polarity
-from .logic import FULL_SWING_BAND, CarrySwing, VoltageMap, value_to_digits
+from .logic import CarrySwing, VoltageMap, value_to_digits
 from .netlist import Netlist, NetlistBuilder, flatten
 from .gates import (
     DEFAULT_N,
@@ -267,7 +267,8 @@ def _build_ternary_mux(
     b: NetlistBuilder, variant: AdderVariant, carry_swing: CarrySwing, vdd: float
 ) -> None:
     a, bb, cin, sum_out, cout, vdd_net, gnd = _stage_nets(b, 3, vdd)
-    half = b.add_supply(supply_name(vdd / 2), vdd / 2)
+    mid = VoltageMap(vdd, 3).volts(1)
+    half = b.add_supply(supply_name(mid), mid)
     compact = variant is AdderVariant.TFA1
     inv_n = 10 if compact else DEFAULT_N
 
@@ -327,8 +328,8 @@ def _build_quaternary_mux(
     b: NetlistBuilder, variant: AdderVariant, carry_swing: CarrySwing, vdd: float
 ) -> None:
     a, bb, cin, sum_out, cout, vdd_net, gnd = _stage_nets(b, 4, vdd)
-    third = b.add_supply(supply_name(vdd / 3), vdd / 3)
-    two_thirds = b.add_supply(supply_name(2 * vdd / 3), 2 * vdd / 3)
+    levels = VoltageMap(vdd, 4).levels
+    third, two_thirds = (b.add_supply(supply_name(v), v) for v in levels[1:3])
 
     asel = emit_quaternary_selects(b, a, "a", vdd, buffered=False)
     (an, _), (ai, _), (ap, _) = asel
@@ -601,36 +602,38 @@ def _exhaustive_operands(
 
 
 def _exhaustive_columns(design: FullAdder | Cpa, vectors: range) -> dict[str, np.ndarray]:
-    """The voltage column of each input port, at the design's digit and
-    carry voltages, over the given vectors of exhaustive verification."""
+    """The voltage column of each input port over the given vectors of
+    exhaustive verification: each value is a level of the port's input map."""
     radix = design.radix
     a_vals, b_vals, cin_vals = _exhaustive_operands(design, vectors)
-    digit_step = design.vdd / (radix - 1)
+    maps = design.input_maps()
     columns: dict[str, np.ndarray] = {}
-    for i, port in enumerate(design.a_ports):
-        columns[port] = ((a_vals // radix**i) % radix) * digit_step
-    for i, port in enumerate(design.b_ports):
-        columns[port] = ((b_vals // radix**i) % radix) * digit_step
-    columns[design.cin_port] = cin_vals * design.swing_v
+    for ports, rest in ((design.a_ports, a_vals), (design.b_ports, b_vals)):
+        for port in ports:
+            rest, digit = np.divmod(rest, radix)
+            columns[port] = np.array(maps[port].levels)[digit]
+    columns[design.cin_port] = np.array(maps[design.cin_port].levels)[cin_vals]
     return columns
 
 
 def verify_design(design: FullAdder | Cpa) -> VerifyReport:
     """Drive every (A, B, carry-in) combination through the design's ports,
-    at its own digit and carry voltages, and check the addition identity
+    at the levels of its input maps, and check the addition identity
     value(A) + value(B) + cin == value(S) + radix^digits * cout.
 
-    Output digits must decode with full swing; conflicts, non-convergence
-    and floating outputs all count against the design.  The solver is asked
-    for the sum and carry-out nets only.  The vectors are built, solved and
-    decoded 16,384 at a time (``_VERIFY_CHUNK``), one
+    The sums and the carry-out are decoded with the design's output maps,
+    so each must lie within 5 % of its own map's swing of a level: vdd for
+    a sum digit, the carry-1 voltage for the carry-out.  Conflicts,
+    non-convergence and floating outputs all count against the design.  The
+    solver is asked for the sum and carry-out nets only.  The vectors are
+    built, solved and decoded 16,384 at a time (``_VERIFY_CHUNK``), one
     :func:`solver.solve_dc_batch` call per chunk, so memory follows the
     chunk, not the width; the counts are summed and the first 20 failure
     samples kept in vector order.  A design of more than 2^22 vectors
     (``_MAX_VERIFY_VECTORS``) is a ValueError, raised before anything is
     built.
     """
-    radix, digits, vdd = design.radix, design.digits, design.vdd
+    radix, digits = design.radix, design.digits
     span = radix**digits
     n_vec = span * span * 2
     if n_vec > _MAX_VERIFY_VECTORS:
@@ -640,26 +643,18 @@ def verify_design(design: FullAdder | Cpa) -> VerifyReport:
         )
     comp = design.compiled
     outputs = (*design.s_ports, design.cout_port)
-    digit_levels = np.arange(radix) * (vdd / (radix - 1))
-    carry_levels = np.array([0.0, design.swing_v])
-    band = FULL_SWING_BAND * vdd
-
-    def decode(v: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dist = np.abs(v[:, None] - levels)
-        dist[np.isnan(dist)] = np.inf
-        digit = dist.argmin(axis=1)
-        return digit, np.take_along_axis(dist, digit[:, None], axis=1)[:, 0] <= band
+    out_maps = design.output_maps()
 
     def check(vectors: range, result: solver.BatchResult) -> np.ndarray:
         """The failure, conflict, non-convergence and floating-output counts
         of one chunk; its failure samples join ``samples`` up to 20."""
         sum_value = np.zeros(len(vectors), dtype=np.int64)
         decode_ok = np.ones(len(vectors), dtype=bool)
-        for i in range(digits):
-            digit, ok = decode(result.values[:, i], digit_levels)
+        for i, port in enumerate(design.s_ports):
+            digit, ok = out_maps[port].decode_array(result.values[:, i])
             sum_value += digit * radix**i
             decode_ok &= ok
-        cout_digit, cout_ok = decode(result.values[:, digits], carry_levels)
+        cout_digit, cout_ok = out_maps[design.cout_port].decode_array(result.values[:, digits])
         decode_ok &= cout_ok
 
         a_vals, b_vals, cin_vals = _exhaustive_operands(design, vectors)

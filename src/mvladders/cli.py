@@ -399,11 +399,7 @@ def _cmd_run(args) -> ExitStatus:
     if missing:
         print(f"unassigned inputs: {sorted(missing)}", file=sys.stderr)
         return ExitStatus.BAD_REQUEST
-    try:
-        state = solve_dc(nl, assignment)
-    except NonConvergenceError as exc:
-        print(str(exc), file=sys.stderr)
-        return ExitStatus.SOLVER_TROUBLE
+    state = solve_dc(nl, assignment)
     if state.conflicts:
         for c in state.conflicts:
             print(

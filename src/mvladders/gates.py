@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .device import Polarity
-from .logic import check_radix, succ as succ_digit, ni as ni_digit, pi as pi_digit
+from .logic import VoltageMap, check_radix, succ as succ_digit, ni as ni_digit, pi as pi_digit
 from .netlist import Netlist, NetlistBuilder
 
 __all__ = [
@@ -317,8 +317,8 @@ def _succ(radix: int) -> _Builder:
         a = b.add_input("a", radix)
         y = b.add_output("y", radix)
         selects = _selects(b, a, radix, kind, buffered=False)
-        levels = (succ_digit(radix, d, kind.k) * kind.vdd / (radix - 1) for d in range(radix))
-        rails = [_rail(b, v) for v in levels]
+        levels = VoltageMap(kind.vdd, radix).levels
+        rails = [_rail(b, levels[succ_digit(radix, d, kind.k)]) for d in range(radix)]
         emit_mux_branches(b, rails, y, selects, kind.name.lower())
 
     return build_succ

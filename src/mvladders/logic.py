@@ -9,7 +9,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "SUPPORTED_RADICES",
@@ -46,7 +49,10 @@ def check_digit(radix: int, digit: int) -> None:
 
 @dataclass(frozen=True)
 class VoltageMap:
-    """Canonical digit <-> voltage map: level k sits at k*vdd/(radix-1)."""
+    """The one digit <-> voltage map: level k sits at k*vdd/(radix-1).
+
+    Inputs are driven and rails laid at its ``levels``.  A voltage decodes
+    to the nearest level, in band within ``FULL_SWING_BAND`` * vdd of it."""
 
     vdd: float
     radix: int
@@ -56,24 +62,28 @@ class VoltageMap:
         if not math.isfinite(self.vdd) or self.vdd <= 0:
             raise ValueError(f"vdd must be positive and finite, got {self.vdd}")
 
-    @property
+    @cached_property
     def levels(self) -> tuple[float, ...]:
+        """The voltage of each digit, built once through :meth:`volts`."""
         return tuple(map(self.volts, range(self.radix)))
 
     def volts(self, digit: int) -> float:
         check_digit(self.radix, digit)
         return digit * self.vdd / (self.radix - 1)
 
-    def nearest(self, volts: float) -> int:
-        levels = self.levels
-        return min(range(self.radix), key=lambda k: abs(levels[k] - volts))
+    def decode_array(self, volts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The nearest digit of each voltage (the lowest on a tie, 0 for NaN)
+        and whether it lies within the full-swing band of that level."""
+        dist = np.abs(np.asarray(volts, dtype=np.float64)[..., None] - self.levels)
+        digit = dist.argmin(axis=-1)
+        # a NaN voltage's row is all NaN: argmin gives 0, and NaN <= band is False
+        nearest = np.take_along_axis(dist, digit[..., None], axis=-1)[..., 0]
+        return digit, nearest <= FULL_SWING_BAND * self.vdd
 
     def decode(self, volts: float) -> int | None:
         """Nearest-level decode; None when outside the full-swing band."""
-        digit = self.nearest(volts)
-        if abs(self.levels[digit] - volts) <= FULL_SWING_BAND * self.vdd:
-            return digit
-        return None
+        digit, in_band = self.decode_array(np.array([float(volts)]))
+        return int(digit[0]) if in_band[0] else None
 
 
 class CarrySwing(enum.Enum):
@@ -83,9 +93,10 @@ class CarrySwing(enum.Enum):
     FULL = "full"
 
     def carry_high_v(self, radix: int, vdd: float) -> float:
+        """Digit 1 of the radix-r map for a reduced swing, vdd for a full one."""
         check_radix(radix)
         if self is CarrySwing.REDUCED:
-            return vdd / (radix - 1)
+            return VoltageMap(vdd, radix).volts(1)
         return vdd
 
 

@@ -109,9 +109,6 @@ class Device:
     source: str
     drain: str
 
-    def terminals(self) -> tuple[str, str, str]:
-        return (self.gate, self.source, self.drain)
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -271,10 +268,6 @@ def _validate(nl: Netlist) -> None:
     io_names = {n.name for n in nl.nets.values() if n.role in (NetRole.INPUT, NetRole.OUTPUT)}
     if io_names - set(nl.ports):
         raise NetlistError(f"I/O nets missing from port list: {sorted(io_names - set(nl.ports))}")
-    for dev in nl.devices:
-        for term in dev.terminals():
-            if term not in nl.nets:
-                raise NetlistError(f"device terminal references undefined net {term!r}")
     for inst in nl.instances:
         sub = nl.subckts.get(inst.subckt)
         if sub is None:
@@ -288,9 +281,6 @@ def _validate(nl: Netlist) -> None:
         unknown = [p for p in bound if p not in sub.ports]
         if unknown:
             raise NetlistError(f"instance {inst.name!r} binds unknown ports: {unknown}")
-        for net in bound.values():
-            if net not in nl.nets:
-                raise NetlistError(f"instance {inst.name!r} binds to undefined net {net!r}")
 
 
 # --------------------------------------------------------------------------

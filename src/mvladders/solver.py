@@ -121,10 +121,6 @@ class CompiledNetlist:
     def n_devices(self) -> int:
         return len(self.dev_g)
 
-    @property
-    def iteration_cap(self) -> int:
-        return 2 + 2 * self.n_devices
-
     @cached_property
     def device_arrays(self) -> tuple[np.ndarray, ...]:
         """(gate, source, drain, is_n, vth) of every device as arrays."""
@@ -790,7 +786,7 @@ def _dc_state(
 def _no_fixed_point(comp: CompiledNetlist) -> str:
     return (
         f"{comp.netlist.name!r} did not reach a conduction fixed point "
-        f"within {comp.iteration_cap} sweeps"
+        f"within {comp.ccr_plan.whole.cap} sweeps"
     )
 
 
@@ -846,8 +842,14 @@ class StepTrace:
 
 
 def default_input_maps(nl: Netlist) -> dict[str, VoltageMap]:
-    """Digit maps for each input net: full range up to the largest supply."""
+    """Digit maps for each input net: full range up to the largest supply.
+    A netlist with inputs but no supply above 0 V is a :class:`SolverError`."""
     vdd = nl.max_supply_v()
+    if nl.inputs and not vdd > 0:
+        raise SolverError(
+            f"netlist {nl.name!r} has no supply above 0 V to scale its input "
+            "digits by; pass maps= with a VoltageMap for each input"
+        )
     return {n.name: VoltageMap(vdd, n.radix) for n in nl.inputs}
 
 
@@ -862,24 +864,16 @@ def step_windows(
     :func:`solve_dc_batch` call; charge retention is then applied as a
     forward fill within each window.  That is exact because retained charge
     never gates a device.  Each window's first column is its solved initial
-    vector.  The traces share the batch's arrays; an input's ``moved``
-    column marks the steps where its level changes.
+    vector.  An input's level k is driven at ``levels[k]`` of its map in
+    ``maps`` (by default :func:`default_input_maps`).  The traces share the
+    batch's arrays; an input's ``moved`` column marks the steps where its
+    level changes.
     """
     comp = _as_compiled(nl)
     if maps is None:
         maps = default_input_maps(comp.netlist)
     input_names = [comp.names[i] for i in comp.input_idx]
     columns: dict[str, list[float]] = {name: [] for name in input_names}
-    tables: dict[str, list[float]] = {}  # each port's level voltages
-
-    def volts(name: str, level: int) -> float:
-        if name not in tables:
-            tables[name] = [maps[name].volts(k) for k in range(maps[name].radix)]
-        table = tables[name]
-        # any level but an in-range int goes through volts(), which refuses it
-        if type(level) is int and 0 <= level < len(table):
-            return table[level]
-        return maps[name].volts(level)
 
     starts = [0]
     for waveforms in windows:
@@ -893,7 +887,14 @@ def step_windows(
         if steps < 1:
             raise SolverError("waveforms must contain at least one step")
         for name in input_names:
-            columns[name].extend(volts(name, level) for level in waveforms[name])
+            vmap = maps[name]
+            levels = vmap.levels
+            # any level but an in-range int goes through volts(), which refuses it
+            columns[name].extend(
+                levels[level] if type(level) is int and 0 <= level < len(levels)
+                else vmap.volts(level)
+                for level in waveforms[name]
+            )
         starts.append(starts[-1] + steps)
 
     batch = solve_dc_batch(comp, columns)

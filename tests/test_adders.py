@@ -229,6 +229,19 @@ def test_verify_exhaustive_reports_failures():
     # a wrong netlist must be reported, not masked: swap the sum mux data
     report = verify_design(_broken_bfa3())
     assert report.failures > 0
+    assert report.failure_samples[0] == "A=(0,) B=(0,) cin=0: expected 0, decoded 0 [floating]"
+
+
+def test_exhaustive_columns_drive_the_input_map_levels(single_stage_designs):
+    # bit for bit: a quaternary digit 3 is driven at levels[3] == 0.9, not
+    # at 3 * (0.9 / 3) == 0.8999999999999999
+    for design in [*single_stage_designs, *map(build_cpa, _COMPARE_CONFIGS)]:
+        n_vec = 2 * (design.radix**design.digits) ** 2
+        columns = adders._exhaustive_columns(design, range(n_vec))
+        maps = design.input_maps()
+        assert set(columns) == set(maps)
+        for port, column in columns.items():
+            assert set(column.tolist()) <= set(maps[port].levels), (design.label, port)
 
 
 def test_chunked_verification_matches_one_chunk(monkeypatch, single_stage_designs):

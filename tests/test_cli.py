@@ -306,6 +306,20 @@ def test_run_conflicted_fixture(tmp_path):
     assert "conflict" in err
 
 
+def test_run_reports_a_netlist_without_a_fixed_point(tmp_path):
+    # y gates its own pulldown against an always-on pullup, so it never settles
+    f = tmp_path / "selfgate.net"
+    f.write_text(
+        "SUPPLY vdd 0.9\nSUPPLY gnd 0\nOUTPUT y 2\n"
+        "DEVICE P n=19 g=gnd s=vdd d=y\nDEVICE N n=19 g=y s=gnd d=y\n"
+    )
+    status, out, err = run_cli(["run", str(f)])
+    assert status == ExitStatus.SOLVER_TROUBLE
+    assert out == ""
+    assert err == "'netlist' did not reach a conduction fixed point within 6 sweeps\n"
+    assert "Traceback" not in err
+
+
 def test_run_parse_error_status(tmp_path):
     f = tmp_path / "bad.net"
     f.write_text("FLUX CAPACITOR 1.21\n")

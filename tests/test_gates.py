@@ -61,7 +61,7 @@ def _columns(kind: GateKind, nl, combos) -> dict[str, np.ndarray]:
             columns[port] = digits * swing
             columns[complement] = (1 - digits) * kind.vdd
         else:
-            columns[port] = digits * kind.vdd / (radix - 1)
+            columns[port] = np.take(VoltageMap(kind.vdd, radix).levels, digits)
     return columns
 
 

@@ -1,9 +1,12 @@
 import itertools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from mvladders.logic import (
+    FULL_SWING_BAND,
     CarrySwing,
     VoltageMap,
     digits_to_value,
@@ -113,6 +116,36 @@ def test_voltage_map_levels_are_the_digit_volts(radix, vdd):
     # bit for bit: k * (vdd / 3) gives 0.8999999999999999 at k = 3, vdd = 0.9
     vmap = VoltageMap(vdd, radix)
     assert vmap.levels == tuple(vmap.volts(k) for k in range(radix))
+
+
+def _plain_decode(vmap, volts):
+    """Nearest level (the lowest on a tie) and the full-swing check, in
+    plain Python floats."""
+    if math.isnan(volts):
+        return 0, False
+    dist = [abs(volts - level) for level in vmap.levels]
+    digit = dist.index(min(dist))
+    return digit, dist[digit] <= FULL_SWING_BAND * vmap.vdd
+
+
+@pytest.mark.parametrize("vdd", [0.9, 0.45, 0.3])
+@pytest.mark.parametrize("radix", [2, 3, 4])
+def test_array_and_scalar_decode_agree(radix, vdd):
+    vmap = VoltageMap(vdd, radix)
+    band = FULL_SWING_BAND * vdd
+    probes = [math.nan, math.inf, -math.inf]
+    for level in vmap.levels:
+        for edge, outward in ((level - band, -math.inf), (level + band, math.inf)):
+            probes += [edge, np.nextafter(edge, level), np.nextafter(edge, outward)]
+        probes.append(level)
+    digits, in_band = vmap.decode_array(np.array(probes))
+    assert in_band.any() and not in_band.all()
+    for volts, digit, ok in zip(probes, digits.tolist(), in_band.tolist()):
+        assert (digit, ok) == _plain_decode(vmap, volts), volts
+        assert vmap.decode(volts) == (digit if ok else None), volts
+    for level, digit in zip(vmap.levels, range(radix)):
+        assert vmap.decode(level) == digit
+    assert vmap.decode(math.nan) is None and vmap.decode(math.inf) is None
 
 
 def test_carry_swing_voltages():

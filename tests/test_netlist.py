@@ -86,6 +86,16 @@ def test_undefined_net_error_with_location():
     assert err.value.line == 8
 
 
+def test_builder_refuses_undefined_nets():
+    b = NetlistBuilder()
+    b.add_supply("gnd", 0.0)
+    b.add_internal("y")
+    with pytest.raises(NetlistError, match="undefined net 'phantom'"):
+        b.add_device(Polarity.N, 19, "phantom", "gnd", "y")
+    with pytest.raises(NetlistError, match="undefined net 'phantom'"):
+        b.add_instance("cell", "u0", {"a": "y", "b": "phantom"})
+
+
 def test_duplicate_net_error():
     with pytest.raises(ParseError) as err:
         parse("SUPPLY vdd 0.9\nNET x\nNET x\n")

@@ -23,6 +23,7 @@ from mvladders.solver import (
     NonConvergenceError,
     SolverError,
     compile_netlist,
+    default_input_maps,
     solve_dc,
     solve_dc_batch,
     step_waveforms,
@@ -161,9 +162,25 @@ def test_step_waveforms_records_deltas_and_retention():
     assert states[0].voltage("y") == pytest.approx(0.0)
     assert states[1].voltage("y") == pytest.approx(0.9)
     assert "y" in _changes(trace)[1]
-    # the series midpoint of the disabled branch keeps its old voltage
-    floats = states[1].floating
-    retained = [n for n in floats if states[1].voltage(n) is not None]
+
+    # a TGate turned off leaves y undriven, holding its 0.9 V
+    tgate = build(GateKind("TGate"))
+    binary = dict.fromkeys(("d", "en", "enb"), VoltageMap(0.9, 2))
+    trace = step_waveforms(tgate, {"d": [1, 1], "en": [1, 0], "enb": [0, 1]}, binary)
+    states = _states(trace)
+    assert states[0].voltage("y") == 0.9 and "y" not in states[0].floating
+    assert "y" in states[1].floating
+    assert [n for n in states[1].floating if states[1].voltage(n) is not None] == ["y"]
+    assert states[1].voltage("y") == 0.9
+
+
+def test_default_input_maps_need_a_positive_supply():
+    # TGate has only a gnd rail, so its digits have no voltage to scale by
+    with pytest.raises(SolverError, match="'tgate' has no supply above 0 V.*pass maps="):
+        step_waveforms(build(GateKind("TGate")), {"d": [1, 1], "en": [1, 0], "enb": [0, 1]})
+    # a netlist with no inputs needs no map
+    tie = parse("SUPPLY gnd 0\nOUTPUT y 2\nDEVICE N n=19 g=gnd s=gnd d=y\n")
+    assert default_input_maps(tie) == {}
 
 
 def test_qfa2_staircase_sum_trace():
