@@ -13,9 +13,9 @@ All absolute numbers below are calibrated-model values, not measurements.
 """
 
 from mvladders.adders import AdderVariant, CarrySwing, build_full_adder
-from mvladders.analysis import TimingModel, path_delay, sweep_load, worst_case_delays
+from mvladders.analysis import TimingModel, bench, path_delay, sweep_load
 from mvladders.gates import build_tgate_chain
-from mvladders.solver import step_waveforms
+from mvladders.solver import step_windows
 
 model = TimingModel.default()
 print(f"calibration: rho = {model.rho_ohm_v:.0f} ohm*V, "
@@ -28,7 +28,7 @@ for k in (2, 4, 6, 8):
     row = []
     for restored in (False, True):
         nl = build_tgate_chain(k, restored=restored)
-        trace = step_waveforms(nl, {"a": [0, 1]})
+        (trace,) = step_windows(nl, [{"a": [0, 1]}])
         row.append(path_delay(trace, model, "a", "y", cl_ff=0.0))
     print(f"{k:>3} {row[0] * 1e12:>10.1f} ps {row[1] * 1e12:>10.1f} ps")
 print("the bare chain grows superlinearly; the restored one is a straight line")
@@ -44,7 +44,7 @@ for variant, swing in (
     (AdderVariant.BFA1_14T, CarrySwing.FULL),
 ):
     fa = build_full_adder(variant, swing)
-    q = worst_case_delays(fa, model, 2.0)
+    q = bench(fa, model, 2.0).delays
     print(
         f"{fa.label:24s} {q.in_cout * 1e12:>9.1f} {q.in_sum * 1e12:>9.1f} "
         f"{q.cin_cout * 1e12:>10.1f} {q.cin_sum * 1e12:>9.1f}"

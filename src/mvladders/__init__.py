@@ -34,7 +34,7 @@ from .solver import (
     StepTrace,
     solve_dc,
     solve_dc_batch,
-    step_waveforms,
+    step_windows,
 )
 from .gates import GateKind, behavioral_table, build, build_tgate_chain
 from .adders import (
@@ -56,7 +56,6 @@ from .analysis import (
     path_delay,
     pdp,
     sweep_load,
-    worst_case_delays,
 )
 
 __version__ = "0.1.0"

@@ -13,8 +13,8 @@ quadratically.
 
 Everything works on the solver's arrays, keyed by net index: a
 :class:`~mvladders.solver.StepTrace` holds the stepped voltages as
-``[steps x nets]`` arrays, :func:`node_capacitance` returns one float per
-net, and the overdrive comes from the solver's conduction kernel.
+``[steps x nets]`` arrays, the node capacitances form a ``[nets x loads]``
+matrix, and the overdrive comes from the solver's conduction kernel.
 Shortest-path ties are broken and Elmore and energy terms summed
 in net-index order, so every figure is the same in every process.
 
@@ -24,13 +24,14 @@ every root path and Elmore sum lies inside one channel-connected (CCR)
 unit.  So, as COSMOS (Bryant et al., DAC 1987) compiles each CCR once, a
 step is planned per unit, for every load at once, and one pricing call
 reuses a unit's plan on every step where its values and moved nets recur;
-the plans die with the call.  Pricing is demand-driven: a figure plans only
-the units on the gating chains of the nets it reads (the last sum and the
-carry-out for a CPA's critical paths), and :func:`settle_times` asks for
-every moved net.  Sums run in net-index order (never a
-pairwise or BLAS sum, whose order depends on the shape), so every figure
-has the same bits priced alone, with other loads or from a reused plan.
-Every load the timing layer prices must be finite and non-negative.
+the plans die with the call.  Every delay is priced by one walk,
+:func:`_walk`, which plans only the units on the gating chains of the nets
+a figure reads (the last sum and the carry-out for a CPA's critical paths).
+Sums run in net-index order (never a pairwise or BLAS sum, whose order
+depends on the shape), so every figure has the same bits from any set of
+requested nets, priced alone, with other loads or from a reused plan.
+Every load the timing layer prices must be on a known net, finite and
+non-negative.
 
 Energy is C * dV^2 summed over changed nets per step, with no short-circuit
 or leakage term; this matches the conflict-free circuit style.  A benchmark
@@ -60,7 +61,6 @@ from .solver import (
     CompiledNetlist,
     StepTrace,
     _Unit,
-    _as_compiled,
     _overdrive,
     step_windows,
 )
@@ -74,10 +74,7 @@ __all__ = [
     "CSV_HEADER",
     "MODEL_NOTE",
     "area",
-    "node_capacitance",
     "path_delay",
-    "settle_times",
-    "worst_case_delays",
     "dynamic_power",
     "pdp",
     "bench",
@@ -130,40 +127,27 @@ def area(netlist: Netlist) -> float:
     return netlist.sum_diameter_nm()
 
 
-def node_capacitance(
-    nl: Netlist | CompiledNetlist, model: TimingModel, loads_f: Mapping[str, float] | None = None
-) -> np.ndarray:
-    """Capacitance in farads of every net, indexed like ``comp.names``: gate
-    terminals, channel terminals, loads.  A negative or non-finite load is
-    refused."""
-    comp = _as_compiled(nl)
-    g, s, d, _, _ = comp.device_arrays
-    n = comp.n_nets
-    caps = model.c_gate_f * np.bincount(g, minlength=n) + model.c_diff_f * (
-        np.bincount(s, minlength=n) + np.bincount(d, minlength=n)
-    )
-    for name, extra in (loads_f or {}).items():
-        if name not in comp.index:
-            raise AnalysisError(f"load on unknown net {name!r}")
-        if not (math.isfinite(extra) and extra >= 0):
-            raise AnalysisError(f"load on {name!r} must be finite and >= 0 F, got {extra:g}")
-        caps[comp.index[name]] += extra
-    return caps
-
-
 def _load_caps(
     comp: CompiledNetlist, model: TimingModel, loads: Sequence[Mapping[str, float]]
 ) -> np.ndarray:
-    """The ``[nets x loads]`` capacitance matrix in farads: one column per
-    map of extra load in fF on named nets.  Every load the timing layer
-    prices comes through here; a negative or non-finite one is refused."""
-    caps = np.empty((comp.n_nets, len(loads)))
-    for col, loads_ff in enumerate(loads):
-        for name, ff in loads_ff.items():
+    """The ``[nets x loads]`` capacitance matrix in farads, rows indexed like
+    ``comp.names``: c_gate per gate terminal plus c_diff per channel
+    terminal, and in each column one map of extra load in fF on named nets.
+    Every load the timing layer prices comes through here; a negative or
+    non-finite load, or one on an unknown net, is refused."""
+    g, s, d, _, _ = comp.device_arrays
+    n = comp.n_nets
+    base = model.c_gate_f * np.bincount(g, minlength=n) + model.c_diff_f * (
+        np.bincount(s, minlength=n) + np.bincount(d, minlength=n)
+    )
+    caps = np.repeat(base[:, None], len(loads), axis=1)
+    for col, extra in enumerate(loads):
+        for name, ff in extra.items():
             if not (math.isfinite(ff) and ff >= 0):
                 raise AnalysisError(f"load on {name!r} must be finite and >= 0 fF, got {ff:g}")
-        farads = {name: ff * _FF for name, ff in loads_ff.items()}
-        caps[:, col] = node_capacitance(comp, model, farads)
+            if name not in comp.index:
+                raise AnalysisError(f"load on unknown net {name!r}")
+            caps[comp.index[name], col] += ff * _FF
     return caps
 
 
@@ -228,45 +212,6 @@ def _unit_plan(tree: tuple, targets: list[int], moved: set[int], caps: np.ndarra
     return [], times, gating
 
 
-def _refuse_conflicts(trace: StepTrace, step: int) -> None:
-    if trace.conflicts[step]:
-        raise AnalysisError(f"conflicted state: {trace.conflicts[step][0]}")
-
-
-def settle_times(
-    trace: StepTrace, step: int, model: TimingModel, caps: np.ndarray
-) -> dict[int, list[float]]:
-    """Settling times in seconds of every net that moved at ``step``, keyed
-    by net index, one per column of the ``[nets x loads]`` capacitance
-    matrix ``caps``.
-
-    A moved net waits for the slowest moved gate along its driving path
-    (stage causality), then adds the Elmore sum over the moved nets of its
-    channel-connected component, weighted by shared path resistance.  No
-    driving path passes through a source, so each CCR unit that owns a
-    moved net is planned alone: its driving tree depends only on the values
-    of its own and fixed nets, and its Elmore sums also on which of them
-    moved.  A figure's pricing call keeps both under those keys and reuses
-    them across its steps; this function plans afresh on every call.
-
-    Planning per unit gives the bits a plan of the whole netlist would:
-    edge conductances are summed in device order from 0.0 (``np.bincount``),
-    the heap breaks ties by net index, and each Elmore sum is a running sum
-    in net-index order over its unit's moved nets, which leaves out only
-    +0.0 terms.  No sum depends on the number of loads, so every column has
-    the bits of a one-load call.  This is :func:`_walk` from every moved
-    net, so a figure priced from fewer nets has these bits.
-    """
-    _refuse_conflicts(trace, step)
-    moved = trace.moved[step]
-    is_source = trace.comp.ccr_plan.is_source
-    settle = {n: [0.0] * caps.shape[1] for n in np.flatnonzero(moved & is_source).tolist()}
-    targets = np.flatnonzero(moved & ~is_source).tolist()
-    done = _walk(trace, step, model, caps, {}, targets)
-    settle.update((n, done[n]) for n in targets)
-    return settle
-
-
 def _walk(
     trace: StepTrace,
     step: int,
@@ -275,16 +220,31 @@ def _walk(
     plans: dict,
     requested: Sequence[int],
 ) -> dict[int, list[float]]:
-    """Settling times of the moved non-source nets ``requested`` at
-    ``step`` and of every moved net on their gating chains.  ``plans``
-    keeps each unit's driving tree and Elmore plans; share one dict across
-    the steps of one netlist priced with one ``caps``, and no further.
+    """Settling times in seconds, keyed by net index and one per load column
+    of the ``[nets x loads]`` matrix ``caps``, of the moved non-source nets
+    ``requested`` at ``step`` and of every moved net on their gating chains.
+    ``plans`` keeps each unit's driving tree and Elmore plans; share one
+    dict across the steps of one netlist priced with one ``caps``, and no
+    further.
 
-    The walk plans a requested net's unit over all of that unit's moved
-    nets, then follows the net's gating nets to their units, and resolves
-    the settle rounds over the walked nets only.  A moved net that no unit
-    owns is refused whether or not a chain reaches it; every unit walked is
-    priced before the lowest net without a driving path is named.
+    A moved net waits for the slowest moved net gating its driving path
+    (stage causality), then adds the Elmore sum over its CCR unit's moved
+    nets.  No driving path passes through a source, so a unit is planned
+    alone, keyed by its values and its moved nets.  The walk plans a
+    requested net's unit, follows the net's gating nets to their units,
+    and resolves the settle rounds over the walked nets only.
+
+    Invariant: a walk from any set of requested nets gives each net it
+    prices the bits a walk from every moved non-source net gives it, which
+    are the bits of a plan of the whole netlist.  Edge conductances are
+    summed in device order from 0.0 (``np.bincount``), the heap breaks ties
+    by net index, and each Elmore sum is a running sum in net-index order
+    over its unit's moved nets, which leaves out only +0.0 terms; no sum
+    depends on the number of loads or on a reused plan.
+
+    A moved net that no unit owns is refused whether or not a chain reaches
+    it; every unit walked is priced before the lowest net without a driving
+    path is named.
     """
     comp, ccr = trace.comp, trace.comp.ccr_plan
     is_target = trace.moved[step] & ~ccr.is_source
@@ -365,18 +325,19 @@ def _worst_settle(
     ``steps``, one per load column of ``caps`` (0.0 where it never moves).
 
     Each step is refused first if it is conflicted, if a target has no value
-    there, or if a moved net has no unit to drive it.  Then only the moved
-    targets and the nets on their gating chains are priced (:func:`_walk`),
-    with the bits :func:`settle_times` gives them.  A moved net off every
+    there, or if a moved net has no unit to drive it.  Then :func:`_walk`
+    prices only the moved targets and the nets on their gating chains, with
+    the bits a walk from every moved net gives them.  A moved net off every
     chain is not priced, so it refuses no figure it does not affect: a
     missing driving path there (only a hand-built trace has one, as the
     solver drives every net it moves) or a gating cycle among such nets
-    refuses the step in :func:`settle_times` but not here.
+    refuses only a walk that requests it.
     """
     worst = [[0.0] * caps.shape[1] for _ in targets]
     is_source = trace.comp.ccr_plan.is_source
     for k in steps:
-        _refuse_conflicts(trace, k)
+        if trace.conflicts[k]:
+            raise AnalysisError(f"conflicted state: {trace.conflicts[k][0]}")
         for t in targets:
             if math.isnan(trace.values[k, t]):
                 raise AnalysisError(f"output {trace.comp.names[t]!r} floating at step {k}")
@@ -388,20 +349,13 @@ def _worst_settle(
 
 
 def path_delay(
-    trace: StepTrace,
-    model: TimingModel,
-    from_net: str,
-    to_net: str,
-    cl_ff: float = 0.0,
-    loads_ff: Mapping[str, float] | None = None,
+    trace: StepTrace, model: TimingModel, from_net: str, to_net: str, cl_ff: float = 0.0
 ) -> float:
     """Worst settling time of ``to_net`` over the steps where ``from_net``
-    transitions.  Returns 0.0 when the target never moves (already settled).
-    Loads default to ``cl_ff`` on every output."""
+    transitions, with ``cl_ff`` on every output.  Returns 0.0 when the
+    target never moves (already settled)."""
     comp = trace.comp
-    if loads_ff is None:
-        loads_ff = {n.name: cl_ff for n in comp.netlist.outputs}
-    caps = _load_caps(comp, model, [loads_ff])
+    caps = _load_caps(comp, model, [{n.name: cl_ff for n in comp.netlist.outputs}])
     if from_net not in comp.index or to_net not in comp.index:
         raise AnalysisError("unknown from/to net")
     # row 0 of moved is all False
@@ -498,18 +452,6 @@ def _delays(
         best[f"{prefix}_sum"] = list(map(max, best[f"{prefix}_sum"], t_sum))
         best[f"{prefix}_cout"] = list(map(max, best[f"{prefix}_cout"], t_cout))
     return [DelayQuad(**dict(zip(best, quad))) for quad in zip(*best.values())]
-
-
-def worst_case_delays(design: FullAdder | Cpa, model: TimingModel, cl_ff: float) -> DelayQuad:
-    """Per-path maxima over the adjacent-transition and staircase windows.
-
-    Loads: cl_ff on every stage output (the sums, the final carry, and the
-    rippling inter-stage carries of a CPA).
-    """
-    comp = design.compiled
-    caps = _load_caps(comp, model, [dict.fromkeys(design.loaded_nets(), cl_ff)])
-    (delays,) = _delays(design, _delay_traces(design, comp)[0], model, caps)
-    return delays
 
 
 # --------------------------------------------------------------------------
@@ -636,7 +578,9 @@ def _bench_rows(
 
 
 def bench(design: FullAdder | Cpa, model: TimingModel, cl_ff: float) -> BenchReport:
-    """Delays, power and PDP for one design at one load."""
+    """Delays, power and PDP for one design with ``cl_ff`` on every stage
+    output (the sums, the final carry and a CPA's inter-stage carries).
+    The delays are per-path maxima over the windows of :func:`_delay_windows`."""
     (row,) = _bench_rows(design, model, [cl_ff])
     return row
 

@@ -14,11 +14,11 @@ local input tuples only, and solves rows with a conflict or no fixed point
 again over the whole netlist.  Units of one structural class, such as the
 repeated stages of a carry-propagate adder, share one table per call: each
 distinct fixed column is relaxed once and its result reused bit for bit.
-:func:`solve_dc` is its one-row case, and :func:`step_windows` and
-:func:`step_waveforms` solve every column of their waveforms in one call to
-it before applying charge retention step by step.  Results hold the solved
-arrays and conflicts only: no sweep count, and a trace's steps are numbered,
-not timed.
+:func:`solve_dc` is its one-row case, and :func:`step_windows` solves
+every column of its waveform windows in one call to it before applying
+charge retention step by step.  Results hold the solved arrays and
+conflicts only: no sweep count, and a trace's steps are numbered, not
+timed.
 The tests check the engine vector by vector against an independent
 union-find reference.
 """
@@ -48,7 +48,6 @@ __all__ = [
     "solve_dc",
     "solve_dc_batch",
     "BatchResult",
-    "step_waveforms",
     "step_windows",
     "default_input_maps",
 ]
@@ -873,6 +872,8 @@ def step_windows(
     if maps is None:
         maps = default_input_maps(comp.netlist)
     input_names = [comp.names[i] for i in comp.input_idx]
+    if not input_names:
+        raise SolverError(f"netlist {comp.netlist.name!r} has no inputs to step")
     columns: dict[str, list[float]] = {name: [] for name in input_names}
 
     starts = [0]
@@ -925,14 +926,3 @@ def step_windows(
         )
 
     return (trace(window) for window in range(len(windows)))
-
-
-def step_waveforms(
-    nl: Netlist | CompiledNetlist,
-    waveforms: Mapping[str, Sequence[int]],
-    maps: Mapping[str, VoltageMap] | None = None,
-) -> StepTrace:
-    """Quasi-static stepping of one waveform window: :func:`step_windows`
-    with a single window.  The first column is the solved initial vector."""
-    (trace,) = step_windows(nl, [waveforms], maps)
-    return trace

@@ -16,12 +16,11 @@ from mvladders.analysis import (
     bench,
     path_delay,
     sweep_load,
-    worst_case_delays,
 )
 from mvladders.device import CALIBRATION_ROWS, diameter_nm, threshold_voltage_v
 from mvladders.gates import build_tgate_chain
 from mvladders.logic import CarrySwing
-from mvladders.solver import step_waveforms
+from mvladders.solver import step_windows
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -131,14 +130,14 @@ def test_06_carry_swing_speedup(model, designs_by_label, cpa_designs):
     ok = True
     details = []
     for red_label, full_label in pairs:
-        red = worst_case_delays(designs_by_label[red_label], model, 2.0)
-        full = worst_case_delays(designs_by_label[full_label], model, 2.0)
+        red = bench(designs_by_label[red_label], model, 2.0).delays
+        full = bench(designs_by_label[full_label], model, 2.0).delays
         ratio = red.cin_cout / full.cin_cout
         details.append(f"{red_label.split('[')[0]} {ratio:.2f}")
         ok &= 1.4 <= ratio <= 3.0
     for red_key, full_key in (("ter_red", "ter_full"), ("quat_red", "quat_full")):
-        red = worst_case_delays(cpa_designs[red_key], model, 2.0)
-        full = worst_case_delays(cpa_designs[full_key], model, 2.0)
+        red = bench(cpa_designs[red_key], model, 2.0).delays
+        full = bench(cpa_designs[full_key], model, 2.0).delays
         ok &= full.cin_cout < red.cin_cout
         details.append(f"{full_key} chain {full.cin_cout * 1e12:.0f} < {red.cin_cout * 1e12:.0f} ps")
     _report("carry-swing speedup: reduced/full in [1.4, 3.0]; full-swing CPAs faster", ok, "; ".join(details))
@@ -166,7 +165,7 @@ def test_08_rc_chain_property(model):
     for restored in (False, True):
         for k in (4, 8):
             nl = build_tgate_chain(k, restored=restored)
-            trace = step_waveforms(nl, {"a": [0, 1]})
+            (trace,) = step_windows(nl, [{"a": [0, 1]}])
             delays[(restored, k)] = path_delay(trace, model, "a", "y", cl_ff=0.0)
     plain_ratio = delays[(False, 8)] / delays[(False, 4)]
     restored_ratio = delays[(True, 8)] / delays[(True, 4)]

@@ -17,22 +17,21 @@ from mvladders.analysis import (
     AnalysisError,
     TimingModel,
     area,
+    _load_caps,
+    _walk,
     bench,
     dynamic_power,
-    node_capacitance,
     path_delay,
     pdp,
     power_waveforms,
-    settle_times,
     sweep_load,
-    worst_case_delays,
 )
 from mvladders.cli import _COMPARE_CONFIGS
 from mvladders.device import Polarity, threshold_voltage_v
 from mvladders.gates import GateKind, build, build_tgate_chain
 from mvladders.logic import CarrySwing
 from mvladders.netlist import NetlistBuilder, parse
-from mvladders.solver import compile_netlist, step_waveforms
+from mvladders.solver import compile_netlist, step_windows
 from elmore_reference import reference_capacitance, reference_settle
 
 
@@ -49,7 +48,7 @@ def test_default_calibration():
     model = TimingModel.default()
     # the reference inverter (n=19 pair, 0.9 V, 2 fF load) settles in 10 ps
     inv = build(GateKind("Inverter"))
-    trace = step_waveforms(inv, {"a": [0, 1]})
+    (trace,) = step_windows(inv, [{"a": [0, 1]}])
     assert path_delay(trace, model, "a", "y", cl_ff=2.0) == pytest.approx(10e-12, rel=1e-6)
 
 
@@ -71,7 +70,7 @@ def test_tgate_chain_growth(model):
     for restored in (False, True):
         for k in (4, 8):
             nl = build_tgate_chain(k, restored=restored)
-            trace = step_waveforms(nl, {"a": [0, 1]})
+            (trace,) = step_windows(nl, [{"a": [0, 1]}])
             delays[(restored, k)] = path_delay(trace, model, "a", "y", cl_ff=0.0)
     assert delays[(False, 8)] / delays[(False, 4)] > 2.5
     assert delays[(True, 8)] / delays[(True, 4)] == pytest.approx(2.0, rel=0.1)
@@ -81,21 +80,21 @@ def test_restoration_beats_chain(model):
     for k in (4, 6, 8):
         plain = build_tgate_chain(k, restored=False)
         restored = build_tgate_chain(k, restored=True)
-        d_plain = path_delay(step_waveforms(plain, {"a": [0, 1]}), model, "a", "y", 0.0)
-        d_rest = path_delay(step_waveforms(restored, {"a": [0, 1]}), model, "a", "y", 0.0)
+        d_plain = path_delay(next(step_windows(plain, [{"a": [0, 1]}])), model, "a", "y", 0.0)
+        d_rest = path_delay(next(step_windows(restored, [{"a": [0, 1]}])), model, "a", "y", 0.0)
         if k >= 8:
             assert d_rest < d_plain
 
 
 def test_rho_scale_law(model, designs_by_label):
     fa = designs_by_label["TFA2[full,0.9V]"]
-    base = worst_case_delays(fa, model, 2.0)
-    scaled = worst_case_delays(fa, scaled_model(model, rho=3.0), 2.0)
+    base = bench(fa, model, 2.0).delays
+    scaled = bench(fa, scaled_model(model, rho=3.0), 2.0).delays
     for path in ("in_cout", "in_sum", "cin_cout", "cin_sum"):
         assert getattr(scaled, path) == pytest.approx(3.0 * getattr(base, path))
     # power is independent of rho
     waves = power_waveforms(fa)
-    trace = step_waveforms(fa.netlist, waves, fa.input_maps())
+    (trace,) = step_windows(fa.netlist, [waves], fa.input_maps())
     span = (len(trace) - 1) * 1e-9
     assert dynamic_power(trace, model, span) == pytest.approx(
         dynamic_power(trace, scaled_model(model, rho=3.0), span)
@@ -105,12 +104,12 @@ def test_rho_scale_law(model, designs_by_label):
 def test_cap_scale_law(model, designs_by_label):
     fa = designs_by_label["TFA2[full,0.9V]"]
     s = 2.0
-    base = worst_case_delays(fa, model, 2.0)
-    scaled = worst_case_delays(fa, scaled_model(model, caps=s), 2.0 * s)
+    base = bench(fa, model, 2.0).delays
+    scaled = bench(fa, scaled_model(model, caps=s), 2.0 * s).delays
     for path in ("in_cout", "in_sum", "cin_cout", "cin_sum"):
         assert getattr(scaled, path) == pytest.approx(s * getattr(base, path))
     waves = power_waveforms(fa)
-    trace = step_waveforms(fa.netlist, waves, fa.input_maps())
+    (trace,) = step_windows(fa.netlist, [waves], fa.input_maps())
     span = (len(trace) - 1) * 1e-9
     loads = {"Sum": 2.0, "Cout": 2.0}
     loads_scaled = {"Sum": 2.0 * s, "Cout": 2.0 * s}
@@ -125,7 +124,7 @@ def test_supply_quadratic_power_law(model):
     p = {}
     for fa in (hi, lo):
         waves = power_waveforms(fa)
-        trace = step_waveforms(fa.netlist, waves, fa.input_maps())
+        (trace,) = step_windows(fa.netlist, [waves], fa.input_maps())
         p[fa.vdd] = dynamic_power(
             trace, model, (len(trace) - 1) * 1e-9, {"Sum": 2.0, "Cout": 2.0}
         )
@@ -140,8 +139,8 @@ def test_power_monotone_in_load(model, designs_by_label):
 
 def test_delays_monotone_in_load(model, single_stage_designs):
     for fa in single_stage_designs:
-        lo = worst_case_delays(fa, model, 0.25)
-        hi = worst_case_delays(fa, model, 4.0)
+        lo = bench(fa, model, 0.25).delays
+        hi = bench(fa, model, 4.0).delays
         for path in ("in_cout", "in_sum", "cin_cout", "cin_sum"):
             assert getattr(hi, path) > getattr(lo, path), (fa.label, path)
 
@@ -156,15 +155,14 @@ def test_ternary_extreme_transitions_never_set_maximum(model, designs_by_label):
     ):
         fa = designs_by_label[label]
         maps = fa.input_maps()
-        worst = worst_case_delays(fa, model, 2.0)
-        caps_loads = {"Sum": 2.0, "Cout": 2.0}
+        worst = bench(fa, model, 2.0).delays
         for pair in ((0, 2), (2, 0)):
             for b in range(3):
                 for cin in (0, 1):
                     waves = {"A": list(pair), "B": [b, b], "Cin": [cin, cin]}
-                    trace = step_waveforms(fa.netlist, waves, maps)
+                    (trace,) = step_windows(fa.netlist, [waves], maps)
                     for target, bound in (("Cout", worst.in_cout), ("Sum", worst.in_sum)):
-                        d = path_delay(trace, model, "A", target, loads_ff=caps_loads)
+                        d = path_delay(trace, model, "A", target, cl_ff=2.0)
                         assert d <= bound + 1e-18
 
 
@@ -184,22 +182,22 @@ def test_carry_swing_speedup_band(model, designs_by_label):
         ("QFA1[reduced,0.9V]", "QFA2[full,0.9V]"),
     ]
     for red_label, full_label in pairs:
-        red = worst_case_delays(designs_by_label[red_label], model, 2.0)
-        full = worst_case_delays(designs_by_label[full_label], model, 2.0)
+        red = bench(designs_by_label[red_label], model, 2.0).delays
+        full = bench(designs_by_label[full_label], model, 2.0).delays
         ratio = red.cin_cout / full.cin_cout
         assert 1.4 <= ratio <= 3.0, (red_label, ratio)
 
 
 def test_binary_low_vdd_slower(model, designs_by_label):
-    hi = worst_case_delays(designs_by_label["BFA1_14T[full,0.9V]"], model, 2.0)
-    lo = worst_case_delays(designs_by_label["BFA1_14T[full,0.45V]"], model, 2.0)
+    hi = bench(designs_by_label["BFA1_14T[full,0.9V]"], model, 2.0).delays
+    lo = bench(designs_by_label["BFA1_14T[full,0.45V]"], model, 2.0).delays
     for path in ("in_cout", "in_sum", "cin_cout", "cin_sum"):
         assert getattr(lo, path) > getattr(hi, path)
 
 
 def test_path_delay_requires_transition(model):
     inv = build(GateKind("Inverter"))
-    trace = step_waveforms(inv, {"a": [0, 0]})
+    (trace,) = step_windows(inv, [{"a": [0, 0]}])
     with pytest.raises(AnalysisError):
         path_delay(trace, model, "a", "y", cl_ff=1.0)
 
@@ -217,7 +215,7 @@ def test_analysis_refuses_conflicts(model):
     b.add_device(Polarity.P, 19, "a", "vdd", "y")
     b.add_device(Polarity.N, 19, "a", "gnd", "y")
     nl = b.build("clashinv")
-    trace = step_waveforms(nl, {"a": [0, 1]})
+    (trace,) = step_windows(nl, [{"a": [0, 1]}])
     with pytest.raises(AnalysisError, match="conflicted state"):
         path_delay(trace, model, "a", "y", cl_ff=1.0)
 
@@ -231,12 +229,12 @@ def test_series_transmission_gates_match_closed_form_elmore(model):
         "DEVICE N n=19 g=vdd s=a d=n1\nDEVICE P n=19 g=gnd s=a d=n1\n"
         "DEVICE N n=19 g=vdd s=n1 d=y\nDEVICE P n=10 g=gnd s=n1 d=y\n"
     )
-    trace = step_waveforms(nl, {"a": [0, 1]})
+    (trace,) = step_windows(nl, [{"a": [0, 1]}])
     r1 = model.rho_ohm_v / (0.9 - threshold_voltage_v(19))
     r2 = model.rho_ohm_v / (0.9 - threshold_voltage_v(10))
     c1 = 4 * model.c_diff_f  # n1: four channel terminals
     c2 = 2 * model.c_diff_f + 3e-15  # y: two channel terminals and the load
-    delay = path_delay(trace, model, "a", "y", loads_ff={"y": 3.0})
+    delay = path_delay(trace, model, "a", "y", cl_ff=3.0)
     assert delay == pytest.approx(r1 * (c1 + c2) + r2 * c2, rel=1e-12)
 
 
@@ -304,7 +302,7 @@ def test_bench_steps_power_in_the_delay_batch(monkeypatch, model, single_stage_d
         bench(design, model, 2.0)
         assert len(batches) == 1, design.label
         (merged,) = traces
-        alone = step_waveforms(design.netlist, power_waveforms(design), design.input_maps())
+        (alone,) = step_windows(design.netlist, [power_waveforms(design)], design.input_maps())
         assert merged.values.tobytes() == alone.values.tobytes(), design.label
         assert merged.driven.tobytes() == alone.driven.tobytes(), design.label
         assert merged.moved.tobytes() == alone.moved.tobytes(), design.label
@@ -348,7 +346,7 @@ def test_carry_chain_delay_is_linear_in_width(model, variant, swing):
     # which puts r^2 at 0.99975 over 1 to 8 digits (1.0 from 2 digits on)
     widths = np.arange(1, 9)
     delays = np.array([
-        worst_case_delays(build_cpa(CpaConfig(variant, int(n), swing)), model, 2.0).cin_cout
+        bench(build_cpa(CpaConfig(variant, int(n), swing)), model, 2.0).delays.cin_cout
         for n in widths
     ])
     steps = np.diff(delays)
@@ -366,27 +364,59 @@ def test_carry_chain_delay_is_linear_in_width(model, variant, swing):
     [
         "bench",
         "sweep_load",
-        "worst_case_delays",
         "path_delay cl_ff",
-        "path_delay loads_ff",
         "dynamic_power",
-        "node_capacitance",
+        "_load_caps",
     ],
 )
 def test_bad_load_is_refused(model, entry, load):
     fa = build_full_adder(AdderVariant.BFA1_14T)
-    trace = step_waveforms(build(GateKind("Inverter")), {"a": [0, 1]})
+    (trace,) = step_windows(build(GateKind("Inverter")), [{"a": [0, 1]}])
     call = {
         "bench": lambda: bench(fa, model, load),
         "sweep_load": lambda: sweep_load(fa, model, (1.0, load)),
-        "worst_case_delays": lambda: worst_case_delays(fa, model, load),
         "path_delay cl_ff": lambda: path_delay(trace, model, "a", "y", cl_ff=load),
-        "path_delay loads_ff": lambda: path_delay(trace, model, "a", "y", loads_ff={"y": load}),
         "dynamic_power": lambda: dynamic_power(trace, model, 1e-9, {"y": load}),
-        "node_capacitance": lambda: node_capacitance(trace.comp, model, {"y": load}),
+        # the bad load sits in the second column: every column is checked
+        "_load_caps": lambda: _load_caps(fa.compiled, model, [{"Cout": 1.0}, {"Cout": load}]),
     }[entry]
     with pytest.raises(AnalysisError, match=f"got {load:g}$"):
         call()
+
+
+@pytest.mark.parametrize("entry", ["dynamic_power", "_load_caps"])
+def test_load_on_unknown_net_is_refused(model, entry):
+    (trace,) = step_windows(build(GateKind("Inverter")), [{"a": [0, 1]}])
+    call = {
+        "dynamic_power": lambda: dynamic_power(trace, model, 1e-9, {"nope": 1.0}),
+        # the unknown net sits in the second column: every column is checked
+        "_load_caps": lambda: _load_caps(trace.comp, model, [{"y": 1.0}, {"nope": 1.0}]),
+    }[entry]
+    with pytest.raises(AnalysisError, match=r"^load on unknown net 'nope'$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [AdderVariant.BFA1_14T, AdderVariant.TFA1, AdderVariant.QFA2, AdderVariant.BFA3_MUX],
+)
+def test_load_caps_columns_have_the_bits_of_one_column_calls(model, variant):
+    # the base capacitances are computed once per call and each column adds
+    # its own loads, so a column's bits do not depend on the other columns
+    comp = build_full_adder(variant).compiled
+    outputs = [n.name for n in comp.netlist.outputs]
+    load_maps = [{}, *({o: cl for o in outputs} for cl in (0.25, 2.0, 4.0)), {outputs[0]: 3.0}]
+    caps = _load_caps(comp, model, load_maps)
+    assert caps.shape == (comp.n_nets, len(load_maps))
+    for col, loads in enumerate(load_maps):
+        (alone,) = _load_caps(comp, model, [loads]).T
+        assert caps[:, col].tobytes() == alone.tobytes()
+    # a column's loads land on their own rows only
+    for col, loads in enumerate(load_maps):
+        moved = caps[:, col] != caps[:, 0]
+        assert sorted(np.array(comp.names)[moved].tolist()) == sorted(
+            n for n, ff in loads.items() if ff
+        )
 
 
 @pytest.mark.parametrize("load", [1e200, 1e308])
@@ -405,7 +435,7 @@ def test_overflowing_figure_is_refused(model, entry, load):
 
 @pytest.mark.parametrize("period", [math.nan, math.inf])
 def test_non_finite_period_is_refused(model, period):
-    trace = step_waveforms(build(GateKind("Inverter")), {"a": [0, 1]})
+    (trace,) = step_windows(build(GateKind("Inverter")), [{"a": [0, 1]}])
     with pytest.raises(AnalysisError, match=f"period .* got {period:g}$"):
         dynamic_power(trace, model, period)
 
@@ -428,8 +458,8 @@ def test_energy_model_definition(model):
     # one node of capacitance C swung 0 -> V -> 0 dissipates 2 C V^2
     inv = build(GateKind("Inverter"))
     comp = compile_netlist(inv)
-    caps = node_capacitance(comp, model, {"y": 2e-15})
-    trace = step_waveforms(inv, {"a": [0, 1, 0]})
+    (caps,) = _load_caps(comp, model, [{"y": 2.0}]).T
+    (trace,) = step_windows(inv, [{"a": [0, 1, 0]}])
     # energy counted on a and y; isolate y's contribution analytically
     power = dynamic_power(trace, model, 2e-9, {"y": 2.0})
     e_y = 2 * caps[comp.index["y"]] * 0.9**2
@@ -531,7 +561,7 @@ def _rc_trees(draw):
 
 @settings(max_examples=100)
 @given(_rc_trees())
-def test_settle_times_match_plain_elmore_reference(model, case):
+def test_walk_matches_plain_elmore_reference(model, case):
     # relative tolerance 1e-12: the two sum the same terms in other orders
     nl, loads_ff, waveforms = case
     comp = compile_netlist(nl)
@@ -539,19 +569,25 @@ def test_settle_times_match_plain_elmore_reference(model, case):
     # two load columns: the drawn loads and none
     ref_caps = [reference_capacitance(nl, model, loads_f), reference_capacitance(nl, model, {})]
     caps = np.array([[c[name] for c in ref_caps] for name in comp.names])
-    assert caps[:, 0] == pytest.approx(node_capacitance(comp, model, loads_f), rel=1e-15)
-    trace = step_waveforms(comp, waveforms)
+    assert caps == pytest.approx(_load_caps(comp, model, [loads_ff, {}]), rel=1e-15)
+    (trace,) = step_windows(comp, [waveforms])
     names = comp.names
+    is_source = comp.ccr_plan.is_source
     for k in range(1, len(trace)):
         held = [
             {n: None if math.isnan(v) else v for n, v in zip(names, trace.values[j].tolist())}
             for j in (k - 1, k)
         ]
         driven = dict(zip(names, trace.driven[k].tolist()))
-        got = settle_times(trace, k, model, caps)
+        assert not trace.conflicts[k]
+        # the walk prices every moved net but the sources, which settle at once
+        moved = trace.moved[k]
+        got = _walk(trace, k, model, caps, {}, np.flatnonzero(moved & ~is_source).tolist())
+        at_once = {names[i] for i in np.flatnonzero(moved & is_source).tolist()}
         for col, node_caps in enumerate(ref_caps):
             want = reference_settle(nl, model, *held, driven, node_caps)
-            assert {names[i] for i in got} == set(want)
+            assert {names[i] for i in got} | at_once == set(want)
+            assert all(want[n] == 0.0 for n in at_once)
             for i, times in got.items():
                 assert times[col] == pytest.approx(want[names[i]], rel=1e-12, abs=0.0), names[i]
 
@@ -582,7 +618,7 @@ def test_conflicted_step_is_refused_by_name(model):
         "DEVICE P n=19 g=a s=vdd d=y\nDEVICE N n=19 g=a s=gnd d=y\n"
         "DEVICE N n=37 g=vdd s=hi d=lo\n"
     )
-    trace = step_waveforms(nl, {"a": [0, 1]})
+    (trace,) = step_windows(nl, [{"a": [0, 1]}])
     with pytest.raises(
         AnalysisError,
         match=r"^conflicted state: Conflict\(nets=\('hi', 'lo'\), voltages=\(0\.0, 0\.9\)\)$",
@@ -593,7 +629,7 @@ def test_conflicted_step_is_refused_by_name(model):
 def test_moved_net_without_driving_path_is_refused(model):
     # A moved net is driven at its step, so the solver never yields one
     # without a conducting path; mark the inverter's input undriven by hand.
-    trace = step_waveforms(build(GateKind("Inverter")), {"a": [0, 1]})
+    (trace,) = step_windows(build(GateKind("Inverter")), [{"a": [0, 1]}])
     driven = trace.driven.copy()
     driven[1, trace.comp.index["a"]] = False
     with pytest.raises(AnalysisError, match=r"^changed net 'y' has no driving path$"):
@@ -608,14 +644,14 @@ def test_gating_cycle_is_refused(model):
         "DEVICE N n=19 g=vdd s=a d=x\nDEVICE N n=19 g=y s=a d=x\n"
         "DEVICE P n=19 g=x s=b d=y\n"
     )
-    trace = step_waveforms(nl, {"a": [1, 0], "b": [0, 1]})
+    (trace,) = step_windows(nl, [{"a": [1, 0], "b": [0, 1]}])
     with pytest.raises(AnalysisError, match=r"^settle ordering did not resolve for \['x', 'y'\]$"):
         path_delay(trace, model, "a", "x")
 
 
-def test_chain_walk_has_the_bits_of_settle_times(model, single_stage_designs):
+def test_chain_walk_has_the_bits_of_the_full_walk(model, single_stage_designs):
     # _worst_settle prices only the gating chains of its targets; each
-    # figure must be the maximum of settle_times, which prices every net
+    # figure must be the maximum of a walk from every moved net
     from mvladders import analysis
 
     cases = [(build_cpa(cfg), (2.0,)) for cfg in _COMPARE_CONFIGS]
@@ -631,7 +667,8 @@ def test_chain_walk_has_the_bits_of_settle_times(model, single_stage_designs):
             got = analysis._worst_settle(trace, model, caps, steps, targets, plans)
             want = [[0.0] * len(loads) for _ in targets]
             for k in steps:
-                settle = settle_times(trace, k, model, caps)
+                moved = np.flatnonzero(trace.moved[k] & ~comp.ccr_plan.is_source).tolist()
+                settle = analysis._walk(trace, k, model, caps, {}, moved)
                 want = [list(map(max, w, settle.get(t, w))) for w, t in zip(want, targets)]
             assert repr(got) == repr(want), (design.label, stepped)
 
@@ -660,24 +697,25 @@ def test_bench_plans_only_the_gating_chains(monkeypatch, model):
     assert calls["plans"] < 980
 
 
-def test_net_off_the_chain_refuses_only_settle_times(model):
+def test_net_off_the_chain_refuses_only_a_walk_over_it(model):
     # Mark b undriven by hand at step 1: z moves without a driving path.
-    # z is off y's chain, so a->y keeps its figure, while settle_times,
-    # which prices every moved net, refuses the step.
+    # z is off y's chain, so a->y keeps its figure, while a walk from every
+    # moved net refuses the step.
     nl = parse(
         "SUPPLY vdd 0.9\nSUPPLY gnd 0\nINPUT a 2\nINPUT b 2\nOUTPUT y 2\nOUTPUT z 2\n"
         "DEVICE P n=19 g=a s=vdd d=y\nDEVICE N n=19 g=a s=gnd d=y\n"
         "DEVICE P n=19 g=b s=vdd d=z\nDEVICE N n=19 g=b s=gnd d=z\n"
     )
-    trace = step_waveforms(nl, {"a": [0, 1], "b": [0, 1]})
+    (trace,) = step_windows(nl, [{"a": [0, 1], "b": [0, 1]}])
     driven = trace.driven.copy()
     driven[1, trace.comp.index["b"]] = False
     cut = replace(trace, driven=driven)
     delay = path_delay(cut, model, "a", "y", cl_ff=1.0)
     assert delay > 0
     assert delay == path_delay(trace, model, "a", "y", cl_ff=1.0)
-    caps = node_capacitance(trace.comp, model)[:, None]
+    caps = _load_caps(trace.comp, model, [{}])
+    moved = np.flatnonzero(cut.moved[1] & ~cut.comp.ccr_plan.is_source).tolist()
     with pytest.raises(AnalysisError, match=r"^changed net 'z' has no driving path$"):
-        settle_times(cut, 1, model, caps)
+        _walk(cut, 1, model, caps, {}, moved)
     with pytest.raises(AnalysisError, match=r"^changed net 'z' has no driving path$"):
         path_delay(cut, model, "b", "z", cl_ff=1.0)

@@ -26,7 +26,6 @@ from mvladders.solver import (
     default_input_maps,
     solve_dc,
     solve_dc_batch,
-    step_waveforms,
     step_windows,
 )
 from switch_reference import reference_solve, reference_step
@@ -145,19 +144,19 @@ def test_oscillating_topology_reports_nonconvergence():
         solve_dc(_selfgate_fixture(), {"a": 0.0})
 
 
-def test_step_waveforms_constant_inputs():
+def test_one_window_constant_inputs():
     inv = build(GateKind("Inverter"))
-    trace = step_waveforms(inv, {"a": [1, 1, 1]})
+    (trace,) = step_windows(inv, [{"a": [1, 1, 1]}])
     assert len(trace) == 3
     assert all(not c for c in _changes(trace))
     v = [s.voltage("y") for s in _states(trace)]
     assert v == [v[0]] * 3
 
 
-def test_step_waveforms_records_deltas_and_retention():
+def test_one_window_records_deltas_and_retention():
     mux = build(GateKind("Mux3Ternary"))
     waves = {"d0": [0, 0], "d1": [2, 2], "d2": [1, 1], "s": [0, 1]}
-    trace = step_waveforms(mux, waves)
+    (trace,) = step_windows(mux, [waves])
     states = _states(trace)
     assert states[0].voltage("y") == pytest.approx(0.0)
     assert states[1].voltage("y") == pytest.approx(0.9)
@@ -166,7 +165,7 @@ def test_step_waveforms_records_deltas_and_retention():
     # a TGate turned off leaves y undriven, holding its 0.9 V
     tgate = build(GateKind("TGate"))
     binary = dict.fromkeys(("d", "en", "enb"), VoltageMap(0.9, 2))
-    trace = step_waveforms(tgate, {"d": [1, 1], "en": [1, 0], "enb": [0, 1]}, binary)
+    (trace,) = step_windows(tgate, [{"d": [1, 1], "en": [1, 0], "enb": [0, 1]}], binary)
     states = _states(trace)
     assert states[0].voltage("y") == 0.9 and "y" not in states[0].floating
     assert "y" in states[1].floating
@@ -177,10 +176,16 @@ def test_step_waveforms_records_deltas_and_retention():
 def test_default_input_maps_need_a_positive_supply():
     # TGate has only a gnd rail, so its digits have no voltage to scale by
     with pytest.raises(SolverError, match="'tgate' has no supply above 0 V.*pass maps="):
-        step_waveforms(build(GateKind("TGate")), {"d": [1, 1], "en": [1, 0], "enb": [0, 1]})
+        step_windows(build(GateKind("TGate")), [{"d": [1, 1], "en": [1, 0], "enb": [0, 1]}])
     # a netlist with no inputs needs no map
     tie = parse("SUPPLY gnd 0\nOUTPUT y 2\nDEVICE N n=19 g=gnd s=gnd d=y\n")
     assert default_input_maps(tie) == {}
+
+
+def test_netlist_without_inputs_is_refused():
+    tie = parse("SUPPLY gnd 0\nOUTPUT y 2\nDEVICE N n=19 g=gnd s=gnd d=y\n")
+    with pytest.raises(SolverError, match=r"^netlist 'netlist' has no inputs to step$"):
+        step_windows(tie, [{}])
 
 
 def test_qfa2_staircase_sum_trace():
@@ -188,7 +193,7 @@ def test_qfa2_staircase_sum_trace():
 
     fa = build_full_adder(AdderVariant.QFA2)
     waves = {"A": [0, 1, 2, 3, 2, 1, 0], "B": [0] * 7, "Cin": [0] * 7}
-    trace = step_waveforms(fa.netlist, waves, fa.input_maps())
+    (trace,) = step_windows(fa.netlist, [waves], fa.input_maps())
     vmap = VoltageMap(0.9, 4)
     digits = [vmap.decode(s.voltage("Sum")) for s in _states(trace)]
     assert digits == [0, 1, 2, 3, 2, 1, 0]
@@ -199,7 +204,7 @@ def test_qfa1_cin_pulse_cout_trace():
 
     fa = build_full_adder(AdderVariant.QFA1)
     waves = {"A": [2, 2, 2], "B": [1, 1, 1], "Cin": [0, 1, 0]}
-    trace = step_waveforms(fa.netlist, waves, fa.input_maps())
+    (trace,) = step_windows(fa.netlist, [waves], fa.input_maps())
     cmap = fa.output_maps()["Cout"]
     assert [cmap.decode(s.voltage("Cout")) for s in _states(trace)] == [0, 1, 0]
 
@@ -210,7 +215,7 @@ def test_warm_start_equivalence():
     fa = build_full_adder(AdderVariant.TFA2)
     waves = {"A": [0, 2, 1, 2], "B": [1, 1, 2, 0], "Cin": [0, 1, 1, 0]}
     maps = fa.input_maps()
-    trace = step_waveforms(fa.netlist, waves, maps)
+    (trace,) = step_windows(fa.netlist, [waves], maps)
     final = _states(trace)[-1]
     cold = solve_dc(
         fa.netlist,
@@ -608,9 +613,9 @@ def test_step_windows_and_text_round_trip_on_random_netlists(case):
 
 def test_nonconverging_step_is_named():
     nl = _selfgate_fixture(pullup_gate="a")
-    assert _states(step_waveforms(nl, {"a": [1, 1]}))[1].floating == {"y"}
+    assert _states(next(step_windows(nl, [{"a": [1, 1]}])))[1].floating == {"y"}
     with pytest.raises(NonConvergenceError, match=r"^step 1: 'selfgate' did not reach"):
-        step_waveforms(nl, {"a": [1, 0]})
+        step_windows(nl, [{"a": [1, 0]}])
     with pytest.raises(NonConvergenceError, match=r"^window 1, step 2: "):
         step_windows(nl, [{"a": [1]}, {"a": [1, 1, 0]}, {"a": [0]}])
 
