@@ -39,9 +39,8 @@ from .solver import (
 from .gates import GateKind, behavioral_table, build, build_tgate_chain
 from .adders import (
     AdderVariant,
-    Cpa,
     CpaConfig,
-    FullAdder,
+    Design,
     build_cpa,
     build_full_adder,
     verify_design,

@@ -1,10 +1,10 @@
 """The seven full-adder designs, the N-digit CPA composer, and exhaustive
 verification against the arithmetic oracle.
 
-A single-digit :class:`FullAdder` and an N-digit :class:`Cpa` describe
-themselves the same way: the digit count, label, supply, carry-1 voltage and
-the names of their A, B, sum, carry-in and carry-out ports.  Verification,
-timing, power and the CLI read that description and never test the type;
+A single-digit adder and an N-digit CPA are both one :class:`Design` record:
+its label, its configuration (digit count, supply, carry swing), its
+netlists and the names of its A, B, sum, carry-in and carry-out ports and
+carry nets.  Verification, timing, power and the CLI read that record;
 :func:`verify_design` is the one exhaustive verifier.
 
 All m-valued designs share one scheme: sum candidates S0/S1 are the input A
@@ -50,9 +50,8 @@ from . import solver
 
 __all__ = [
     "AdderVariant",
-    "FullAdder",
     "CpaConfig",
-    "Cpa",
+    "Design",
     "build_full_adder",
     "build_cpa",
     "verify_design",
@@ -93,14 +92,67 @@ class AdderVariant(enum.Enum):
         return CarrySwing.REDUCED if self is AdderVariant.QFA1 else CarrySwing.FULL
 
 
-class _Design:
-    """What every design exposes: ``radix``, ``digits``, ``label``, ``vdd``,
-    the carry-1 voltage ``swing_v``, the ``netlist`` (flat) and its
-    ``hierarchical`` source, and its port names: ``a_ports``, ``b_ports``
-    and ``s_ports`` (least significant digit first), ``cin_port``,
-    ``cout_port``, and ``carry_nets``, the carry each stage drives.  The
+@dataclass(frozen=True)
+class CpaConfig:
+    variant: AdderVariant
+    digits: int
+    carry_swing: CarrySwing
+    vdd: float = 0.9
+
+    def __post_init__(self) -> None:
+        if self.digits < 1:
+            raise ValueError("a CPA needs at least one digit")
+
+    @property
+    def radix(self) -> int:
+        return self.variant.radix
+
+    @property
+    def label(self) -> str:
+        return (
+            f"{self.digits}x{self.variant.value}"
+            f"[{self.carry_swing.value},{self.vdd:g}V]"
+        )
+
+
+@dataclass(frozen=True)
+class Design:
+    """A built design: a single-digit adder (``config.digits`` is 1 and the
+    netlist is its own ``hierarchical`` source) or an N-digit CPA, whose
+    carries ripple Cout_i -> Cin_{i+1}.
+
+    The ``a_ports``, ``b_ports`` and ``s_ports`` are least significant
+    digit first, and ``carry_nets`` holds the carry each stage drives.  The
     voltage maps and the loaded nets are written once from those, and the
     netlist is compiled once per design object, on first use."""
+
+    label: str
+    config: CpaConfig
+    hierarchical: Netlist
+    netlist: Netlist
+    a_ports: tuple[str, ...]
+    b_ports: tuple[str, ...]
+    s_ports: tuple[str, ...]
+    carry_nets: tuple[str, ...]
+    cin_port: str
+    cout_port: str
+
+    @property
+    def radix(self) -> int:
+        return self.config.radix
+
+    @property
+    def digits(self) -> int:
+        return self.config.digits
+
+    @property
+    def vdd(self) -> float:
+        return self.config.vdd
+
+    @property
+    def swing_v(self) -> float:
+        """The carry-1 voltage."""
+        return self.config.carry_swing.carry_high_v(self.radix, self.vdd)
 
     @cached_property
     def compiled(self) -> solver.CompiledNetlist:
@@ -124,42 +176,11 @@ class _Design:
         return self.s_ports + self.carry_nets
 
 
-@dataclass(frozen=True)
-class FullAdder(_Design):
-    """A built single-digit adder plus the configuration that shaped it."""
-
-    variant: AdderVariant
-    carry_swing: CarrySwing
-    vdd: float
-    netlist: Netlist
-
-    digits = 1
-    a_ports, b_ports, s_ports = ("A",), ("B",), ("Sum",)
-    cin_port, cout_port = "Cin", "Cout"
-    carry_nets = ("Cout",)
-
-    @property
-    def radix(self) -> int:
-        return self.variant.radix
-
-    @property
-    def swing_v(self) -> float:
-        return self.carry_swing.carry_high_v(self.radix, self.vdd)
-
-    @property
-    def label(self) -> str:
-        return f"{self.variant.value}[{self.carry_swing.value},{self.vdd:g}V]"
-
-    @property
-    def hierarchical(self) -> Netlist:
-        return self.netlist
-
-
 def build_full_adder(
     variant: AdderVariant,
     carry_swing: CarrySwing | None = None,
     vdd: float = 0.9,
-) -> FullAdder:
+) -> Design:
     """Build one adder; raises on an illegal variant/swing/vdd combination."""
     if not math.isfinite(vdd):
         raise ValueError(f"vdd must be a finite voltage, got {vdd}")
@@ -189,31 +210,18 @@ def build_full_adder(
     else:
         _build_bfa3(b, vdd)
     netlist = b.build(variant.value.lower())
-    return FullAdder(variant, carry_swing, vdd, netlist)
-
-
-def _carry_cell_plan(variant: AdderVariant, carry_swing: CarrySwing, vdd: float) -> dict:
-    """Chirality and supply choices for the Cin complement, the carry mux
-    and the Cout restorer.
-
-    The carry mux has the device sequence of ``emit_mux2``: N by cin and P
-    by cinb from c1b, N by cinb and P by cin from c0b.  TFA1, the compact
-    variant, uses n=10 on each of these that a full-swing signal gates.
-    """
-    radix = variant.radix
-    swing_v = carry_swing.carry_high_v(radix, vdd)
-    n_sel, p_sel = mux2_chiralities(vdd, swing_v)
-    if variant is AdderVariant.TFA1:
-        full = carry_swing is CarrySwing.FULL
-        carry_mux = (10, 10, 10, 10) if full else (n_sel, 10, 10, p_sel)
-    else:
-        carry_mux = (n_sel, DEFAULT_N, DEFAULT_N, p_sel)
-    plan = {"swing_v": swing_v, "carry_mux": carry_mux}
-    if carry_swing is CarrySwing.FULL:
-        return plan | {"cinb": ("inv", DEFAULT_N, DEFAULT_N), "cout_n": DEFAULT_N}
-    if radix == 3:
-        return plan | {"cinb": ("det", "NTI"), "cout_n": _LOW_VTH_N}
-    return plan | {"cinb": ("det", "QDetLow"), "cout_n": _LOW_VTH_N}
+    return Design(
+        f"{variant.value}[{carry_swing.value},{vdd:g}V]",
+        CpaConfig(variant, 1, carry_swing, vdd),
+        netlist,
+        netlist,
+        ("A",),
+        ("B",),
+        ("Sum",),
+        ("Cout",),
+        "Cin",
+        "Cout",
+    )
 
 
 def _emit_carry_tail(
@@ -229,24 +237,41 @@ def _emit_carry_tail(
     carry_swing: CarrySwing,
     vdd: float,
 ) -> None:
-    """Shared MUX2-on-Cin stage: sum select plus restored carry output."""
-    plan = _carry_cell_plan(variant, carry_swing, vdd)
-    swing_v = plan["swing_v"]
-    cinb = b.fresh("cinb")
-    if plan["cinb"][0] == "inv":
-        emit_inverter(b, cin, cinb, vdd, plan["cinb"][1], plan["cinb"][2])
+    """Shared MUX2-on-Cin stage: sum select plus restored carry output.
+
+    Cin is complemented by an inverter at a full swing, else by the NTI
+    (ternary) or QDetLow (quaternary) detector.  The carry mux has the
+    device sequence of ``emit_mux2``: N by cin and P by cinb from c1b, N by
+    cinb and P by cin from c0b; the devices gated by cin take the
+    chiralities of ``mux2_chiralities`` at the carry swing.  TFA1, the
+    compact variant, uses n=10 on each of these that a full-swing signal
+    gates.  The Cout restorer is powered at the carry swing, with
+    low-threshold devices at a reduced one.
+    """
+    full = carry_swing is CarrySwing.FULL
+    swing_v = carry_swing.carry_high_v(variant.radix, vdd)
+    n_sel, p_sel = mux2_chiralities(vdd, swing_v)
+    if variant is AdderVariant.TFA1:
+        carry_mux = (10, 10, 10, 10) if full else (n_sel, 10, 10, p_sel)
     else:
-        emit_detector(b, plan["cinb"][1], cin, cinb, vdd)
+        carry_mux = (n_sel, DEFAULT_N, DEFAULT_N, p_sel)
+    cout_n = DEFAULT_N if full else _LOW_VTH_N
+
+    cinb = b.fresh("cinb")
+    if full:
+        emit_inverter(b, cin, cinb, vdd)
+    else:
+        emit_detector(b, "NTI" if variant.radix == 3 else "QDetLow", cin, cinb, vdd)
     emit_mux2(b, s0, s1, cin, cinb, sum_out, vdd, sel_swing=swing_v, data_radix=variant.radix)
     coutb = b.fresh("coutb")
     for polarity, n, gate, data in zip(
         (Polarity.N, Polarity.P, Polarity.N, Polarity.P),
-        plan["carry_mux"],
+        carry_mux,
         (cin, cinb, cinb, cin),
         (c1b, c1b, c0b, c0b),
     ):
         b.add_device(polarity, n, gate, data, coutb)
-    emit_inverter(b, coutb, cout, swing_v, n_n=plan["cout_n"], n_p=plan["cout_n"])
+    emit_inverter(b, coutb, cout, swing_v, n_n=cout_n, n_p=cout_n)
 
 
 def _stage_nets(b: NetlistBuilder, radix: int, vdd: float) -> tuple[str, ...]:
@@ -466,110 +491,38 @@ def _build_bfa3(b: NetlistBuilder, vdd: float) -> None:
 # carry-propagate adders
 
 
-@dataclass(frozen=True)
-class CpaConfig:
-    variant: AdderVariant
-    digits: int
-    carry_swing: CarrySwing
-    vdd: float = 0.9
-
-    def __post_init__(self) -> None:
-        if self.digits < 1:
-            raise ValueError("a CPA needs at least one digit")
-
-    @property
-    def radix(self) -> int:
-        return self.variant.radix
-
-    @property
-    def label(self) -> str:
-        return (
-            f"{self.digits}x{self.variant.value}"
-            f"[{self.carry_swing.value},{self.vdd:g}V]"
-        )
-
-
-@dataclass(frozen=True)
-class Cpa(_Design):
-    """A chained carry-propagate adder; carries ripple Cout_i -> Cin_{i+1}."""
-
-    config: CpaConfig
-    stage: FullAdder
-    hierarchical: Netlist
-    netlist: Netlist
-
-    cin_port, cout_port = "C0", "C_final"
-
-    @property
-    def radix(self) -> int:
-        return self.config.radix
-
-    @property
-    def digits(self) -> int:
-        return self.config.digits
-
-    @property
-    def label(self) -> str:
-        return self.config.label
-
-    @property
-    def vdd(self) -> float:
-        return self.config.vdd
-
-    @property
-    def swing_v(self) -> float:
-        return self.stage.swing_v
-
-    @property
-    def a_ports(self) -> tuple[str, ...]:
-        return tuple(f"A{i}" for i in range(self.digits))
-
-    @property
-    def b_ports(self) -> tuple[str, ...]:
-        return tuple(f"B{i}" for i in range(self.digits))
-
-    @property
-    def s_ports(self) -> tuple[str, ...]:
-        return tuple(f"S{i}" for i in range(self.digits))
-
-    @property
-    def carry_nets(self) -> tuple[str, ...]:
-        return tuple(f"c{i}" for i in range(1, self.digits)) + ("C_final",)
-
-
-def build_cpa(config: CpaConfig) -> Cpa:
+def build_cpa(config: CpaConfig) -> Design:
     stage = build_full_adder(config.variant, config.carry_swing, config.vdd)
     stage_def = replace(stage.netlist, name=f"{config.variant.value.lower()}_stage")
     b = NetlistBuilder()
     b.add_supply(supply_name(0.0), 0.0)
-    radix = config.radix
-    for i in range(config.digits):
-        b.add_input(f"A{i}", radix)
-    for i in range(config.digits):
-        b.add_input(f"B{i}", radix)
-    b.add_input("C0", 2)
-    for i in range(config.digits):
-        b.add_output(f"S{i}", radix)
-    b.add_output("C_final", 2)
+    radix, digits = config.radix, config.digits
+    a_ports = tuple(b.add_input(f"A{i}", radix) for i in range(digits))
+    b_ports = tuple(b.add_input(f"B{i}", radix) for i in range(digits))
+    cin = b.add_input("C0", 2)
+    s_ports = tuple(b.add_output(f"S{i}", radix) for i in range(digits))
+    cout = b.add_output("C_final", 2)
     b.add_subckt(stage_def)
-    carries = ["C0"]
-    for i in range(1, config.digits):
-        carries.append(b.add_internal(f"c{i}"))
-    carries.append("C_final")
-    for i in range(config.digits):
+    carry_nets = tuple(b.add_internal(f"c{i}") for i in range(1, digits)) + (cout,)
+    for i, (cin_i, cout_i) in enumerate(zip((cin,) + carry_nets, carry_nets)):
         b.add_instance(
             stage_def.name,
             f"fa{i}",
-            {
-                "A": f"A{i}",
-                "B": f"B{i}",
-                "Cin": carries[i],
-                "Sum": f"S{i}",
-                "Cout": carries[i + 1],
-            },
+            {"A": a_ports[i], "B": b_ports[i], "Cin": cin_i, "Sum": s_ports[i], "Cout": cout_i},
         )
-    hierarchical = b.build(f"cpa_{config.digits}x{config.variant.value.lower()}")
-    return Cpa(config, stage, hierarchical, flatten(hierarchical))
+    hierarchical = b.build(f"cpa_{digits}x{config.variant.value.lower()}")
+    return Design(
+        config.label,
+        config,
+        hierarchical,
+        flatten(hierarchical),
+        a_ports,
+        b_ports,
+        s_ports,
+        carry_nets,
+        cin,
+        cout,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -592,7 +545,7 @@ class VerifyReport:
 
 
 def _exhaustive_operands(
-    design: FullAdder | Cpa, vectors: range
+    design: Design, vectors: range
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The A, B and carry-in values of the given exhaustive vectors: A
     slowest and carry-in fastest."""
@@ -601,7 +554,7 @@ def _exhaustive_operands(
     return k // (2 * span), (k // 2) % span, k % 2
 
 
-def _exhaustive_columns(design: FullAdder | Cpa, vectors: range) -> dict[str, np.ndarray]:
+def _exhaustive_columns(design: Design, vectors: range) -> dict[str, np.ndarray]:
     """The voltage column of each input port over the given vectors of
     exhaustive verification: each value is a level of the port's input map."""
     radix = design.radix
@@ -616,7 +569,7 @@ def _exhaustive_columns(design: FullAdder | Cpa, vectors: range) -> dict[str, np
     return columns
 
 
-def verify_design(design: FullAdder | Cpa) -> VerifyReport:
+def verify_design(design: Design) -> VerifyReport:
     """Drive every (A, B, carry-in) combination through the design's ports,
     at the levels of its input maps, and check the addition identity
     value(A) + value(B) + cin == value(S) + radix^digits * cout.
@@ -695,7 +648,7 @@ def verify_design(design: FullAdder | Cpa) -> VerifyReport:
     )
 
 
-def all_single_stage_designs() -> tuple[FullAdder, ...]:
+def all_single_stage_designs() -> tuple[Design, ...]:
     """Every legal (variant, swing, vdd) combination, for sweeps and tests."""
     designs = []
     for variant in (AdderVariant.TFA1, AdderVariant.TFA2):

@@ -54,7 +54,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .adders import Cpa, FullAdder
+from .adders import Design
 from .device import threshold_voltage_v
 from .netlist import Netlist, flatten
 from .solver import (
@@ -388,7 +388,7 @@ def _staircase(radix: int) -> list[int]:
     return list(range(radix)) + list(range(radix - 2, -1, -1))
 
 
-def _delay_windows(design: FullAdder | Cpa) -> Iterable[tuple[str, dict[str, list[int]]]]:
+def _delay_windows(design: Design) -> Iterable[tuple[str, dict[str, list[int]]]]:
     """(stepped input, waveform dict) covering every single-input adjacent
     transition in every context, plus the up-down staircases."""
     a_port, b_port, cin_port = design.a_ports[0], design.b_ports[0], design.cin_port
@@ -423,7 +423,7 @@ def _delay_windows(design: FullAdder | Cpa) -> Iterable[tuple[str, dict[str, lis
 
 
 def _delay_traces(
-    design: FullAdder | Cpa, comp: CompiledNetlist, *extra_waves: Mapping[str, Sequence[int]]
+    design: Design, comp: CompiledNetlist, *extra_waves: Mapping[str, Sequence[int]]
 ) -> tuple[list[tuple[str, StepTrace]], list[StepTrace]]:
     """Every delay window stepped, with the input it steps, and the trace of
     each of ``extra_waves``, all in one :func:`step_windows` call."""
@@ -434,7 +434,7 @@ def _delay_traces(
 
 
 def _delays(
-    design: FullAdder | Cpa,
+    design: Design,
     windows: Sequence[tuple[str, StepTrace]],
     model: TimingModel,
     caps: np.ndarray,
@@ -483,7 +483,7 @@ def pdp(power_w: float, delay_s: float) -> float:
     return power_w * delay_s
 
 
-def power_waveforms(design: FullAdder | Cpa) -> dict[str, list[int]]:
+def power_waveforms(design: Design) -> dict[str, list[int]]:
     """The shared benchmark waveform suite: an up-down staircase on every A
     digit, then on every B digit, then a carry-in pulse train in a
     propagate context.  Each phase spans the same number of steps so every
@@ -541,7 +541,7 @@ class BenchReport:
 
 
 def _bench_rows(
-    design: FullAdder | Cpa, model: TimingModel, loads_ff: Iterable[float]
+    design: Design, model: TimingModel, loads_ff: Iterable[float]
 ) -> tuple[BenchReport, ...]:
     """Bench rows of one design at each load.  The DC traces do not depend
     on the load, so the delay windows and the power waveform are stepped
@@ -577,7 +577,7 @@ def _bench_rows(
     return tuple(rows)
 
 
-def bench(design: FullAdder | Cpa, model: TimingModel, cl_ff: float) -> BenchReport:
+def bench(design: Design, model: TimingModel, cl_ff: float) -> BenchReport:
     """Delays, power and PDP for one design with ``cl_ff`` on every stage
     output (the sums, the final carry and a CPA's inter-stage carries).
     The delays are per-path maxima over the windows of :func:`_delay_windows`."""
@@ -594,7 +594,7 @@ class LoadSweep:
 
 
 def sweep_load(
-    design: FullAdder | Cpa,
+    design: Design,
     model: TimingModel,
     loads_ff: Iterable[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
 ) -> LoadSweep:

@@ -23,9 +23,8 @@ from typing import Sequence
 from . import analysis
 from .adders import (
     AdderVariant,
-    Cpa,
     CpaConfig,
-    FullAdder,
+    Design,
     VerifyReport,
     build_cpa,
     build_full_adder,
@@ -61,7 +60,7 @@ class SpecError(ValueError):
     pass
 
 
-def parse_design_spec(spec: str) -> FullAdder | Cpa:
+def parse_design_spec(spec: str) -> Design:
     """Build the design named by a spec string."""
     parts = [p.strip() for p in spec.split(",") if p.strip()]
     if not parts:
@@ -72,12 +71,16 @@ def parse_design_spec(spec: str) -> FullAdder | Cpa:
     swing: CarrySwing | None = None
     vdd = 0.9
     digits = 1
+    seen: set[str] = set()
     for part in parts[1:]:
         if "=" not in part:
             raise SpecError(f"expected key=value, got {part!r}")
         key, value = part.split("=", 1)
         key = key.strip().lower()
         value = value.strip().lower()
+        if key in seen:
+            raise SpecError(f"design-spec key {key!r} given twice")
+        seen.add(key)
         if key == "swing":
             try:
                 swing = CarrySwing(value)
@@ -111,7 +114,7 @@ def _check_loads(loads: Sequence[float]) -> None:
             raise SpecError(f"--cl must be a finite load >= 0 fF, got {cl:g}")
 
 
-def _verify(design: FullAdder | Cpa):
+def _verify(design: Design):
     """verify_design, with a request it refuses (too large) as a usage error."""
     try:
         return verify_design(design)
@@ -200,7 +203,7 @@ def _worker_count() -> int:
     return min(cpus, len(_COMPARE_CONFIGS))
 
 
-def compare_cpa(cl_ff: float, out_dir: Path | None = None):
+def compare_cpa(cl_ff: float):
     """Build, verify and bench the comparison set; returns (rows, checks).
 
     Each design is one job, run in forked worker processes (one per CPU in
@@ -238,15 +241,7 @@ def compare_cpa(cl_ff: float, out_dir: Path | None = None):
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    by_label = {row.design: row for row in rows}
-
-    bin09 = by_label["6xBFA1_14T[full,0.9V]"]
-    bin045 = by_label["6xBFA1_14T[full,0.45V]"]
-    t_red = by_label["4xTFA2[reduced,0.9V]"]
-    t_full = by_label["4xTFA2[full,0.9V]"]
-    q_red = by_label["3xQFA1[reduced,0.9V]"]
-    q_full = by_label["3xQFA2[full,0.9V]"]
-
+    bin09, bin045, t_red, t_full, q_red, q_full = rows
     checks = [
         (
             "binary CPA area <= 0.65x each m-valued CPA area",
@@ -266,8 +261,6 @@ def compare_cpa(cl_ff: float, out_dir: Path | None = None):
         ),
     ]
 
-    if out_dir is not None:
-        _write_report(out_dir, rows, checks, cl_ff)
     return rows, checks
 
 
@@ -369,6 +362,8 @@ def _parse_assignment(text: str, inputs: dict[str, VoltageMap]) -> dict[str, flo
         raw = raw.strip()
         if name not in inputs:
             raise SpecError(f"{name!r} is not an input net")
+        if name in values:
+            raise SpecError(f"input {name!r} assigned twice")
         if raw.lower().endswith("v"):
             values[name] = float(raw[:-1])
             if not math.isfinite(values[name]):

@@ -130,7 +130,7 @@ def test_binary_reduced_swing_is_refused(variant):
 
 def test_cpa_flattening_counts():
     cpa = build_cpa(CpaConfig(AdderVariant.TFA2, 4, CarrySwing.REDUCED))
-    assert cpa.netlist.device_count == 4 * cpa.stage.netlist.device_count
+    assert cpa.netlist.device_count == 4 * cpa.hierarchical.subckts["tfa2_stage"].device_count
     assert cpa.netlist.is_flat
     assert not cpa.hierarchical.is_flat
     assert cpa.netlist.ports == cpa.hierarchical.ports
@@ -195,6 +195,51 @@ def test_one_digit_cpa_verifies(variant, swing):
     assert report.ok, report.failure_samples
     assert report.vectors == 2 * variant.radix**2
     assert report.design == cpa.label
+
+
+@pytest.mark.parametrize(
+    "design, label, config_label, ports, carry_nets",
+    [
+        (
+            build_full_adder(AdderVariant.TFA2),
+            "TFA2[full,0.9V]",
+            "1xTFA2[full,0.9V]",
+            (("A",), ("B",), ("Sum",), "Cin", "Cout"),
+            ("Cout",),
+        ),
+        (
+            build_cpa(CpaConfig(AdderVariant.TFA2, 4, CarrySwing.FULL)),
+            "4xTFA2[full,0.9V]",
+            "4xTFA2[full,0.9V]",
+            (
+                ("A0", "A1", "A2", "A3"),
+                ("B0", "B1", "B2", "B3"),
+                ("S0", "S1", "S2", "S3"),
+                "C0",
+                "C_final",
+            ),
+            ("c1", "c2", "c3", "C_final"),
+        ),
+        (
+            build_cpa(CpaConfig(AdderVariant.TFA2, 1, CarrySwing.FULL)),
+            "1xTFA2[full,0.9V]",
+            "1xTFA2[full,0.9V]",
+            (("A0",), ("B0",), ("S0",), "C0", "C_final"),
+            ("C_final",),
+        ),
+    ],
+    ids=["full-adder", "4-digit-cpa", "1-digit-cpa"],
+)
+def test_design_record(design, label, config_label, ports, carry_nets):
+    a_ports, b_ports, s_ports, cin_port, cout_port = ports
+    assert design.a_ports == a_ports
+    assert design.b_ports == b_ports
+    assert design.s_ports == s_ports
+    assert (design.cin_port, design.cout_port) == (cin_port, cout_port)
+    assert design.carry_nets == carry_nets
+    assert design.loaded_nets() == s_ports + carry_nets
+    assert design.digits == len(a_ports)
+    assert (design.label, design.config.label) == (label, config_label)
 
 
 def _netlist_digest(design) -> str:
@@ -301,7 +346,7 @@ def test_area_additivity():
     for digits in (2, 4):
         cpa = build_cpa(CpaConfig(AdderVariant.TFA1, digits, CarrySwing.FULL))
         assert cpa.netlist.sum_diameter_nm() == pytest.approx(
-            digits * cpa.stage.netlist.sum_diameter_nm()
+            digits * cpa.hierarchical.subckts["tfa1_stage"].sum_diameter_nm()
         )
 
 

@@ -59,6 +59,21 @@ def test_verify_rejects_non_finite_vdd(spec, vdd):
     assert "vdd must be a finite voltage" in err
 
 
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ("tfa2,swing=full,swing=reduced", "swing"),
+        ("tfa2,digits=2,digits=1", "digits"),
+        ("bfa1,vdd=0.9,VDD=0.45", "vdd"),
+    ],
+)
+def test_verify_refuses_a_repeated_spec_key(spec, key):
+    status, out, err = run_cli(["verify", spec])
+    assert status == ExitStatus.BAD_REQUEST
+    assert out == ""
+    assert f"design-spec key {key!r} given twice" in err
+
+
 def test_verify_refuses_oversize_request(monkeypatch):
     # 2 * 3^14 vectors over 186 nets: a ~14 GB value table, refused before
     # any column is built
@@ -273,6 +288,19 @@ def test_run_inverter(tmp_path):
     status, out, _ = run_cli(["run", str(f), "--inputs", "a=0"])
     assert status == ExitStatus.OK
     assert "y = 0.9 V (digit 1)" in out
+
+
+@pytest.mark.parametrize("assignment", ["a=1,a=0", "a=0, a =0.9V"])
+def test_run_refuses_a_repeated_input(tmp_path, assignment):
+    f = tmp_path / "inv.net"
+    f.write_text(
+        "SUPPLY vdd 0.9\nSUPPLY gnd 0\nINPUT a 2\nOUTPUT y 2\n"
+        "DEVICE P n=19 g=a s=vdd d=y\nDEVICE N n=19 g=a s=gnd d=y\n"
+    )
+    status, out, err = run_cli(["run", str(f), "--inputs", assignment])
+    assert status == ExitStatus.BAD_REQUEST
+    assert out == ""
+    assert "input 'a' assigned twice" in err
 
 
 def test_run_netlist_without_inputs(tmp_path):
