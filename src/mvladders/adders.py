@@ -115,7 +115,7 @@ class CpaConfig:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Design:
     """A built design: a single-digit adder (``config.digits`` is 1 and the
     netlist is its own ``hierarchical`` source) or an N-digit CPA, whose
@@ -124,7 +124,8 @@ class Design:
     The ``a_ports``, ``b_ports`` and ``s_ports`` are least significant
     digit first, and ``carry_nets`` holds the carry each stage drives.  The
     voltage maps and the loaded nets are written once from those, and the
-    netlist is compiled once per design object, on first use."""
+    netlist is compiled once per design object, on first use.  Designs
+    compare and hash by identity."""
 
     label: str
     config: CpaConfig
@@ -554,11 +555,14 @@ def _exhaustive_operands(
     return k // (2 * span), (k // 2) % span, k % 2
 
 
-def _exhaustive_columns(design: Design, vectors: range) -> dict[str, np.ndarray]:
-    """The voltage column of each input port over the given vectors of
-    exhaustive verification: each value is a level of the port's input map."""
+def _exhaustive_columns(
+    design: Design, operands: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """The voltage column of each input port for the A, B and carry-in
+    values of :func:`_exhaustive_operands`: each value is a level of the
+    port's input map."""
     radix = design.radix
-    a_vals, b_vals, cin_vals = _exhaustive_operands(design, vectors)
+    a_vals, b_vals, cin_vals = operands
     maps = design.input_maps()
     columns: dict[str, np.ndarray] = {}
     for ports, rest in ((design.a_ports, a_vals), (design.b_ports, b_vals)):
@@ -598,11 +602,14 @@ def verify_design(design: Design) -> VerifyReport:
     outputs = (*design.s_ports, design.cout_port)
     out_maps = design.output_maps()
 
-    def check(vectors: range, result: solver.BatchResult) -> np.ndarray:
+    def check(
+        operands: tuple[np.ndarray, np.ndarray, np.ndarray], result: solver.BatchResult
+    ) -> np.ndarray:
         """The failure, conflict, non-convergence and floating-output counts
         of one chunk; its failure samples join ``samples`` up to 20."""
-        sum_value = np.zeros(len(vectors), dtype=np.int64)
-        decode_ok = np.ones(len(vectors), dtype=bool)
+        a_vals, b_vals, cin_vals = operands
+        sum_value = np.zeros(len(a_vals), dtype=np.int64)
+        decode_ok = np.ones(len(a_vals), dtype=bool)
         for i, port in enumerate(design.s_ports):
             digit, ok = out_maps[port].decode_array(result.values[:, i])
             sum_value += digit * radix**i
@@ -610,7 +617,6 @@ def verify_design(design: Design) -> VerifyReport:
         cout_digit, cout_ok = out_maps[design.cout_port].decode_array(result.values[:, digits])
         decode_ok &= cout_ok
 
-        a_vals, b_vals, cin_vals = _exhaustive_operands(design, vectors)
         expected = a_vals + b_vals + cin_vals
         got = sum_value + span * cout_digit
         fail = ~decode_ok | (got != expected) | result.conflict | result.nonconverged
@@ -631,10 +637,11 @@ def verify_design(design: Design) -> VerifyReport:
     samples: list[str] = []
     counts = np.zeros(4, dtype=np.int64)
     for start in range(0, n_vec, _VERIFY_CHUNK):
-        vectors = range(start, min(start + _VERIFY_CHUNK, n_vec))
+        operands = _exhaustive_operands(design, range(start, min(start + _VERIFY_CHUNK, n_vec)))
         # not bound to a name, so each result is freed before the next solve
         counts += check(
-            vectors, solver.solve_dc_batch(comp, _exhaustive_columns(design, vectors), nets=outputs)
+            operands,
+            solver.solve_dc_batch(comp, _exhaustive_columns(design, operands), nets=outputs),
         )
     failures, conflicts, nonconverged, floating_outputs = counts.tolist()
     return VerifyReport(

@@ -364,12 +364,21 @@ def _parse_assignment(text: str, inputs: dict[str, VoltageMap]) -> dict[str, flo
             raise SpecError(f"{name!r} is not an input net")
         if name in values:
             raise SpecError(f"input {name!r} assigned twice")
-        if raw.lower().endswith("v"):
-            values[name] = float(raw[:-1])
-            if not math.isfinite(values[name]):
-                raise SpecError(f"input {name!r} needs a finite voltage, got {raw!r}")
-        else:
-            values[name] = inputs[name].volts(int(raw))
+        vmap = inputs[name]
+        try:
+            if raw.lower().endswith("v"):
+                volts = float(raw[:-1])
+            else:
+                digit = int(raw)
+                volts = vmap.volts(digit) if 0 <= digit < vmap.radix else math.nan
+        except ValueError:
+            volts = math.nan
+        if not math.isfinite(volts):
+            raise SpecError(
+                f"input {name!r} needs a finite voltage with a V suffix or a digit "
+                f"from 0 to {vmap.radix - 1}, got {raw!r}"
+            )
+        values[name] = volts
     return values
 
 

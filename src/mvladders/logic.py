@@ -73,11 +73,19 @@ class VoltageMap:
 
     def decode_array(self, volts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The nearest digit of each voltage (the lowest on a tie, 0 for NaN)
-        and whether it lies within the full-swing band of that level."""
-        dist = np.abs(np.asarray(volts, dtype=np.float64)[..., None] - self.levels)
-        digit = dist.argmin(axis=-1)
-        # a NaN voltage's row is all NaN: argmin gives 0, and NaN <= band is False
-        nearest = np.take_along_axis(dist, digit[..., None], axis=-1)[..., 0]
+        and whether it lies within the full-swing band of that level.  Levels
+        are tried in order and only a strictly nearer one wins, which is the
+        first minimum that ``argmin`` over the distances would give."""
+        volts = np.asarray(volts, dtype=np.float64)
+        nearest = np.abs(volts - self.levels[0], out=np.empty(volts.shape))
+        digit = np.zeros(volts.shape, dtype=np.intp)
+        for k, level in enumerate(self.levels[1:], 1):
+            dist = np.abs(volts - level)
+            # a NaN distance is never nearer: NaN keeps digit 0 and a NaN
+            # distance, and NaN <= band is False
+            nearer = dist < nearest
+            np.putmask(digit, nearer, k)
+            np.putmask(nearest, nearer, dist)
         return digit, nearest <= FULL_SWING_BAND * self.vdd
 
     def decode(self, volts: float) -> int | None:

@@ -11,9 +11,14 @@ non-convergence instead of a silent wrong answer.
 There is one engine.  :func:`solve_dc_batch` splits the netlist into
 channel-connected regions, solves them in dependency order on the distinct
 local input tuples only, and solves rows with a conflict or no fixed point
-again over the whole netlist.  Units of one structural class, such as the
-repeated stages of a carry-propagate adder, share one table per call: each
-distinct fixed column is relaxed once and its result reused bit for bit.
+again over the whole netlist.  The rows are put in classes through a few
+shared partitions: an input's values, or the distinct key tuples where two
+partitions meet.  A net that keys a later unit keeps a small map from a
+partition's classes to its own, so a unit combines its keys on a
+partition's classes and reads every row only where partitions meet.  Units
+of one structural class, such as the repeated stages of a carry-propagate
+adder, share one table per call: each distinct fixed column is relaxed once
+and its result reused bit for bit.
 :func:`solve_dc` is its one-row case, and :func:`step_windows` solves
 every column of its waveform windows in one call to it before applying
 charge retention step by step.  Results hold the solved arrays and
@@ -29,7 +34,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -137,6 +142,14 @@ class CompiledNetlist:
         built on first use."""
         return _build_plan(self)
 
+    @cached_property
+    def whole(self) -> "_Unit":
+        """The whole netlist as one unit, for the rows that
+        :func:`solve_dc_batch` solves again; built on first use."""
+        sources = {*self.supply_v, *self.input_idx}
+        own = {*self.dev_s, *self.dev_d}.difference(sources)
+        return _make_unit(self, range(self.n_devices), own, sources)
+
 
 def compile_netlist(nl: Netlist) -> CompiledNetlist:
     if not nl.is_flat:
@@ -186,12 +199,11 @@ class _Unit:
     nets: np.ndarray        # own nets: non-source channel ends
     ext: np.ndarray         # fixed nets: boundary sources and outside gates
     keys: tuple[int, ...]   # the ext nets that vary by row (all but supplies)
-    g: np.ndarray           # device terminals as table rows
-    s: np.ndarray
-    d: np.ndarray
+    gsd: np.ndarray         # [3, D] device gates, sources and drains as table rows
     is_n: np.ndarray        # [D, 1]
     vth: np.ndarray         # [D, 1]
     slot_dev: np.ndarray    # device of each channel-end slot, slots sorted by table row
+    slot_ends: np.ndarray   # [2, slots] the source and drain row of each slot's device
     end_rows: np.ndarray    # distinct table rows that are channel ends
     end_starts: np.ndarray  # first slot of each end row
     cap: int
@@ -232,7 +244,7 @@ def _make_reads(
 
 @dataclass(frozen=True, eq=False)
 class _CcrPlan:
-    """Units in dependency order, plus the whole netlist as one unit.
+    """Units in dependency order.
 
     Units of one structural class have equal own and fixed row counts and
     equal device rows, polarities and thresholds, so :func:`_relax` gives
@@ -241,8 +253,7 @@ class _CcrPlan:
 
     units: tuple[_Unit, ...]
     classes: tuple[int, ...]  # structural class of each unit
-    whole: _Unit
-    reads: tuple[_Reads, ...]  # of each unit, then of the whole netlist
+    reads: tuple[_Reads, ...]  # of each unit
     # per unit: the keyed nets and the units whose tables no later unit reads
     last_keys: tuple[tuple[int, ...], ...]
     last_reads: tuple[tuple[int, ...], ...]
@@ -254,32 +265,45 @@ class _CcrPlan:
     spans: tuple[tuple[int, int], ...]  # each unit's slice of rows
 
 
-def _make_unit(comp: CompiledNetlist, devices: Sequence[int], nets: Sequence[int]) -> _Unit:
-    devices = np.asarray(sorted(devices), dtype=np.intp)
+def _make_unit(
+    comp: CompiledNetlist, devices: Sequence[int], nets: Sequence[int], sources: set[int]
+) -> _Unit:
+    """The unit of ``devices`` owning ``nets``; ``sources`` are the supplies
+    and inputs.  Built on lists: the arrays are small and made once."""
+    devices = sorted(devices)
     own = sorted(nets)
-    g, s, d, is_n, vth = (a[devices] for a in comp.device_arrays)
-    ext = sorted(set(np.concatenate([g, s, d]).tolist()) - set(own))
-    to_row = np.zeros(comp.n_nets, dtype=np.intp)
-    to_row[own + ext] = np.arange(len(own) + len(ext))
-    s_row, d_row = to_row[s], to_row[d]
-    ends = np.concatenate([s_row, d_row])
-    by_end = np.argsort(ends, kind="stable")
-    end_rows, end_starts = np.unique(ends[by_end], return_index=True)
+    n_dev = len(devices)
+    g, s, d = ([terminal[j] for j in devices] for terminal in (comp.dev_g, comp.dev_s, comp.dev_d))
+    ext = sorted({*g, *s, *d}.difference(own))
+    to_row = {net: row for row, net in enumerate(own + ext)}
+    g_row, s_row, d_row = ([to_row[net] for net in terminal] for terminal in (g, s, d))
+    ends = s_row + d_row
+    by_end = sorted(range(2 * n_dev), key=ends.__getitem__)
+    slot_dev = [slot % n_dev for slot in by_end]
+    end_rows, end_starts = [], []
+    for start, slot in enumerate(by_end):
+        if not end_rows or ends[slot] != end_rows[-1]:
+            end_rows.append(ends[slot])
+            end_starts.append(start)
+    table = np.array(own + ext, dtype=np.intp)
+    slots = np.array(
+        [slot_dev, [s_row[j] for j in slot_dev], [d_row[j] for j in slot_dev]], dtype=np.intp
+    ).reshape(3, 2 * n_dev)
+    end_table = np.array([end_rows, end_starts], dtype=np.intp).reshape(2, -1)
     return _Unit(
-        nets=np.asarray(own, dtype=np.intp),
-        ext=np.asarray(ext, dtype=np.intp),
+        nets=table[: len(own)],
+        ext=table[len(own) :],
         keys=tuple(i for i in ext if i not in comp.supply_v),
-        g=to_row[g],
-        s=s_row,
-        d=d_row,
-        is_n=is_n[:, None],
-        vth=vth[:, None],
-        slot_dev=np.tile(np.arange(len(devices)), 2)[by_end],
-        end_rows=end_rows,
-        end_starts=end_starts,
-        cap=2 + 2 * len(devices),
-        devices=tuple(devices.tolist()),
-        sources=tuple(i for i in ext if i in comp.supply_v or i in comp.input_idx),
+        gsd=np.array([g_row, s_row, d_row], dtype=np.intp).reshape(3, n_dev),
+        is_n=np.array([comp.dev_is_n[j] for j in devices], dtype=bool)[:, None],
+        vth=np.array([comp.dev_vth[j] for j in devices], dtype=np.float64)[:, None],
+        slot_dev=slots[0],
+        slot_ends=slots[1:],
+        end_rows=end_table[0],
+        end_starts=end_table[1],
+        cap=2 + 2 * n_dev,
+        devices=tuple(devices),
+        sources=tuple(i for i in ext if i in sources),
     )
 
 
@@ -374,13 +398,14 @@ def _build_plan(comp: CompiledNetlist) -> _CcrPlan:
             comp,
             [j for r in scc for j in region_devs[r]],
             [net for r in scc for net in region_nets[r]],
+            sources,
         )
         for scc in _dependency_order(deps)
     )
     signatures: dict[tuple, int] = {}
     classes = tuple(
         signatures.setdefault(
-            (len(u.nets), len(u.ext), *(a.tobytes() for a in (u.g, u.s, u.d, u.is_n, u.vth))),
+            (len(u.nets), len(u.ext), *(a.tobytes() for a in (u.gsd, u.is_n, u.vth))),
             len(signatures),
         )
         for u in units
@@ -391,15 +416,14 @@ def _build_plan(comp: CompiledNetlist) -> _CcrPlan:
     edge = [
         pairs.setdefault((min(a, b), max(a, b)), len(pairs)) for a, b in zip(comp.dev_s, comp.dev_d)
     ]
-    whole = _make_unit(comp, range(comp.n_devices), list(region))
     owner_of = {
         net: (u, row) for u, unit in enumerate(units) for row, net in enumerate(unit.nets.tolist())
     }
     inputs = set(comp.input_idx)
-    reads = tuple(_make_reads(comp, unit.ext, inputs, owner_of) for unit in (*units, whole))
+    reads = tuple(_make_reads(comp, unit.ext, inputs, owner_of) for unit in units)
     last_key = {net: u for u, unit in enumerate(units) for net in unit.keys}
     last_read = {u: u for u in range(len(units))}
-    last_read.update((owner, u) for u, r in enumerate(reads[:-1]) for _, owner, _ in r.owned)
+    last_read.update((owner, u) for u, r in enumerate(reads) for _, owner, _ in r.owned)
     last_keys: list[list[int]] = [[] for _ in units]
     last_reads: list[list[int]] = [[] for _ in units]
     for net, u in last_key.items():
@@ -409,7 +433,6 @@ def _build_plan(comp: CompiledNetlist) -> _CcrPlan:
     return _CcrPlan(
         units=units,
         classes=classes,
-        whole=whole,
         reads=reads,
         last_keys=tuple(map(tuple, last_keys)),
         last_reads=tuple(map(tuple, last_reads)),
@@ -423,38 +446,39 @@ def _build_plan(comp: CompiledNetlist) -> _CcrPlan:
 
 
 def _components(
-    unit: _Unit, cond: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest ``lo`` and highest ``hi`` over each table row's component of
-    conducting channels.  Given source voltages (+inf/-inf elsewhere), that
-    is the source voltage range each row is joined to."""
-    vmin, vmax = lo.copy(), hi.copy()
+    unit: _Unit, cond: np.ndarray, bounds: np.ndarray, exact: bool = True
+) -> np.ndarray:
+    """Lowest value of ``bounds`` over each table row's component of
+    conducting channels, per column.  ``bounds`` may repeat the columns of
+    ``cond``: given source voltages (+inf elsewhere) and then their
+    negations, the two halves give the source voltage range each row is
+    joined to.  ``exact`` says that no channel end is NaN, so plain
+    comparisons find the fixed point."""
+    reached = bounds.copy()
     if not len(unit.slot_dev):
-        return vmin, vmax
-    on = cond[unit.slot_dev]
+        return reached
+    off = ~cond[unit.slot_dev]
+    if bounds.shape[1] != cond.shape[1]:
+        off = np.concatenate([off] * (bounds.shape[1] // cond.shape[1]), axis=1)
     rows, starts = unit.end_rows, unit.end_starts
     while True:
-        pair_lo = np.minimum(vmin[unit.s], vmin[unit.d])[unit.slot_dev]
-        pair_hi = np.maximum(vmax[unit.s], vmax[unit.d])[unit.slot_dev]
-        new_lo = np.minimum(
-            vmin[rows], np.minimum.reduceat(np.where(on, pair_lo, np.inf), starts, axis=0)
-        )
-        new_hi = np.maximum(
-            vmax[rows], np.maximum.reduceat(np.where(on, pair_hi, -np.inf), starts, axis=0)
-        )
-        if np.array_equal(new_lo, vmin[rows], equal_nan=True) and np.array_equal(
-            new_hi, vmax[rows], equal_nan=True
-        ):
-            return vmin, vmax
-        vmin[rows] = new_lo
-        vmax[rows] = new_hi
+        pair = np.minimum.reduce(reached[unit.slot_ends])
+        np.putmask(pair, off, np.inf)
+        reach = np.minimum.reduceat(pair, starts, axis=0)
+        old = reached[rows]
+        if exact and not (reach < old).any():
+            return reached
+        new = np.minimum(old, reach)
+        if not exact and np.array_equal(new, old, equal_nan=True):
+            return reached
+        reached[rows] = new
 
 
 def _conduction(unit: _Unit, val: np.ndarray) -> np.ndarray:
     """Which devices conduct, per column of the value table ``val``.  NaN
     (unknown) terminals compare False: those devices stay off.  For finite
     x, x - y > 0 exactly when x > y, so this is the threshold test itself."""
-    return _overdrive(unit.is_n, unit.vth, val[unit.g], val[unit.s], val[unit.d]) > 0
+    return _overdrive(unit.is_n, unit.vth, *val[unit.gsd]) > 0
 
 
 def _relax(
@@ -472,28 +496,34 @@ def _relax(
     """
     n_own, n_rows = len(unit.nets), fixed.shape[1]
     val = np.concatenate([np.full((n_own, n_rows), np.nan), fixed])
-    lo = np.concatenate([np.full((n_own, n_rows), np.inf), fixed])
-    hi = np.concatenate([np.full((n_own, n_rows), -np.inf), fixed])
-    cond = np.zeros((len(unit.g), n_rows), dtype=bool)
+    # each column's low bounds, then its high bounds negated
+    bounds = np.concatenate(
+        [np.full((n_own, 2 * n_rows), np.inf), np.concatenate([fixed, -fixed], axis=1)]
+    )
+    exact = not np.isnan(bounds[unit.end_rows]).any()
+    # Values follow from the conduction alone, so a sweep that leaves it
+    # unchanged leaves everything unchanged.  Nothing conducts at first,
+    # which joins no own net to a source.
+    cond = np.zeros((len(unit.devices), n_rows), dtype=bool)
+    reached = bounds
     for _ in range(unit.cap):
         new_cond = _conduction(unit, val)
-        vmin, vmax = _components(unit, new_cond, lo, hi)
-        own_lo, own_hi = vmin[:n_own], vmax[:n_own]
-        new_val = np.where((own_lo <= own_hi) & (own_hi - own_lo <= _EPS), own_lo, np.nan)
-        old_val = val[:n_own]
-        same = (new_val == old_val) | (np.isnan(new_val) & np.isnan(old_val))
-        changed = (new_cond != cond).any(axis=0) | ~same.all(axis=0)
-        cond = new_cond
-        val[:n_own] = new_val
-        if not changed.any():
+        moved = new_cond != cond
+        if not moved.any():
             break
+        cond = new_cond
+        reached = _components(unit, cond, bounds, exact)
+        own_lo, own_hi = reached[:n_own, :n_rows], -reached[:n_own, n_rows:]
+        ok = (own_lo <= own_hi) & (own_hi - own_lo <= _EPS)
+        val = np.concatenate([np.where(ok, own_lo, np.nan), fixed])
+    vmin, vmax = reached[:, :n_rows], -reached[:, n_rows:]
     driven = vmin <= vmax
     return (
         val[:n_own],
         driven[:n_own],
         (vmax > vmin).any(axis=0),
         (driven & (vmax - vmin > _EPS)).any(axis=0),
-        changed,
+        moved.any(axis=0),
     )
 
 
@@ -502,11 +532,52 @@ def _index_type(count: int) -> np.dtype:
     return np.min_scalar_type(max(count - 1, 0))
 
 
-def _rank(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Class of each value (NaN is one class of its own), narrowed, and the
-    class count."""
-    uniq, inverse = np.unique(values, return_inverse=True)
-    return inverse.astype(_index_type(len(uniq))), len(uniq)
+# At most this many rows are put in classes with a dict; more with array
+# passes (the crossover measured in BENCH_25.json).
+_FEW_ROWS = 64
+
+
+def _first_seen(keys: Iterable[object]) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of equal keys numbered as first seen: the first index of each
+    class and each key's class, narrowed."""
+    index: dict[object, int] = {}
+    first: list[int] = []
+    inverse = []
+    for i, key in enumerate(keys):
+        c = index.get(key)
+        if c is None:
+            c = index[key] = len(first)
+            first.append(i)
+        inverse.append(c)
+    return np.array(first, dtype=np.intp), np.array(inverse, dtype=_index_type(len(first)))
+
+
+def _in_first_order(first: np.ndarray, inverse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Renumber classes so that they are in order of their first index."""
+    if not (first[1:] < first[:-1]).any():
+        return first, inverse
+    order = np.argsort(first)
+    label = np.empty(len(first), dtype=_index_type(len(first)))
+    label[order] = np.arange(len(first))
+    return first[order], label.take(inverse)
+
+
+def _rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of equal values in order of their first index (NaN is one
+    class, and so are -0.0 and 0.0): the first index of each class and each
+    value's class, narrowed.  The values are sorted, without an argsort,
+    only to find the distinct ones; each value's is found by a binary
+    search."""
+    if len(values) <= _FEW_ROWS:
+        # -0.0 == 0.0 with one hash; every NaN becomes None
+        return _first_seen(v if v == v else None for v in values.tolist())
+    # not np.unique(values): on first use it imports numpy.ma, about 1 MB
+    ordered = np.sort(values)
+    # NaN sorts last, and every NaN is one level
+    new = ordered[1:] != ordered[:-1]
+    new &= ~np.isnan(ordered[:-1])
+    levels = np.concatenate([ordered[:1], ordered[1:][new]])
+    return _distinct_rows([(np.searchsorted(levels, values), len(levels))], len(values))
 
 
 _CODE_LIMIT = 1 << 62
@@ -515,27 +586,37 @@ _CODE_LIMIT = 1 << 62
 def _distinct_rows(
     columns: Sequence[tuple[np.ndarray, int]], n_rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First row of each distinct tuple of ranked columns, in ascending code
-    order, and each row's tuple, narrowed.  Ranks combine in mixed radix,
-    re-ranked before the code could overflow int64.  A span of at most
-    ``n_rows`` codes is counted densely, without a sort."""
-    code = np.zeros(n_rows, dtype=np.int64)
+    """First row of each distinct tuple of ranked columns, tuples in order
+    of their first row, and each row's tuple, narrowed.  A few rows are
+    compared as tuples.  Otherwise ranks combine in mixed radix, in the
+    narrowest type that holds every code, re-ranked before a code could
+    overflow int64; a span of at most ``n_rows`` codes is counted densely,
+    without a sort."""
+    if n_rows <= _FEW_ROWS:
+        if not columns:
+            return _first_seen([()] * n_rows)
+        return _first_seen(zip(*(rank.tolist() for rank, _ in columns)))
+    span = math.prod(classes for _, classes in columns)
+    narrow = span <= np.iinfo(np.uint32).max
+    code = np.zeros(n_rows, dtype=np.min_scalar_type(span) if narrow else np.int64)
     span = 1
     for rank, classes in columns:
         if span * classes > _CODE_LIMIT:
-            rank_of_code, span = _rank(code)
+            first, rank_of_code = _rank(code)
             # a narrowed code would wrap in the products below
-            code = rank_of_code.astype(np.int64)
-        code = code * classes + rank
+            code, span = rank_of_code.astype(np.int64), len(first)
+        code = code * code.dtype.type(classes) + rank
         span *= classes
     if span > n_rows:
         _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    else:
-        first = np.full(span, n_rows)
-        np.minimum.at(first, code, np.arange(n_rows))
-        present = first < n_rows
-        first, inverse = first[present], (np.cumsum(present) - 1)[code]
-    return first, inverse.astype(_index_type(len(first)))
+        return _in_first_order(first, inverse.astype(_index_type(len(first))))
+    first = np.full(span, n_rows)
+    np.minimum.at(first, code, np.arange(n_rows))
+    present = np.flatnonzero(first < n_rows)
+    order = np.argsort(first[present])
+    label = np.empty(span, dtype=_index_type(len(present)))
+    label[present[order]] = np.arange(len(present))
+    return first[present[order]], label.take(code)
 
 
 class _ClassTable:
@@ -563,21 +644,95 @@ class _ClassTable:
         return np.array([self.index[key] for key in keys], dtype=np.intp)
 
 
+class _Partition:
+    """Rows in classes: each row's class, narrowed, and the first row of each
+    class, classes in order of their first row.  ``coarser`` holds other
+    partitions, and views, each of whose classes is a union of its classes;
+    it keeps them, and their partitions, alive.  Lives for one call."""
+
+    __slots__ = ("inverse", "first", "coarser")
+
+    def __init__(self, first: np.ndarray, inverse: np.ndarray, coarser: Iterable[object] = ()):
+        self.inverse = inverse
+        self.first = first
+        self.coarser = frozenset(coarser)
+
+
+class _View:
+    """Rows in classes through a partition: the view's class of each
+    partition class, and the first partition class of each view class, view
+    classes in order of their first row.  Both lists of first rows ascend,
+    so a view's first rows are the first rows of the partition classes that
+    it lists.  By default, the partition's own classes."""
+
+    __slots__ = ("part", "cmap", "firsts")
+
+    def __init__(
+        self, part: _Partition, cmap: np.ndarray | None = None, firsts: np.ndarray | None = None
+    ) -> None:
+        if cmap is None:
+            cmap = firsts = np.arange(len(part.first))
+        self.part = part
+        self.cmap = cmap
+        self.firsts = firsts
+
+
+def _unit_view(keys: Sequence[_View], n_rows: int) -> _View:
+    """The distinct tuples of a unit's key views, each of more than one
+    class.  Where the partition of one key is finer than every key, the keys
+    combine on its classes.  Otherwise keys on one partition combine on its
+    classes, and the rows are read once to join the partitions into a new
+    one."""
+    if len(keys) == 1:
+        return keys[0]
+    parts = list(dict.fromkeys(key.part for key in keys))
+    finest = next(
+        (
+            p for p in parts
+            if all(key.part is p or key.part in p.coarser or key in p.coarser for key in keys)
+        ),
+        None,
+    )
+    if finest is not None:
+        # each key's class of each finest class
+        on_finest = [
+            (key.cmap.take(key.part.inverse.take(finest.first)), len(key.firsts))
+            if key.part is not finest
+            else (key.cmap, len(key.firsts))
+            for key in keys
+        ]
+        firsts, cmap = _distinct_rows(on_finest, len(finest.first))
+        return _View(finest, cmap, firsts)
+    joined = []
+    coarser: set[object] = set(keys)
+    for part in parts:
+        on_part = [(key.cmap, len(key.firsts)) for key in keys if key.part is part]
+        if len(on_part) == 1:
+            cmap, n_classes = on_part[0]
+        else:
+            firsts, cmap = _distinct_rows(on_part, len(part.first))
+            n_classes = len(firsts)
+        if n_classes == len(part.first):
+            coarser |= {part, *part.coarser}
+        joined.append((cmap.take(part.inverse), n_classes))
+    return _View(_Partition(*_distinct_rows(joined, n_rows), coarser))
+
+
 def _fixed(
     reads: _Reads,
     columns: Mapping[int, np.ndarray],
     rows: np.ndarray,
-    hits: Mapping[int, tuple[_ClassTable, np.ndarray, np.ndarray]],
+    hits: Mapping[int, tuple[_ClassTable, np.ndarray, _View]],
 ) -> np.ndarray:
     """The fixed column of a unit on each of ``rows``, ``[ext, rows]``.  An
     owned net is read from its owner's table through the owner's (table,
-    entry, inverse): those are the bits the owner scatters to a stored row."""
+    entry, view): those are the bits the owner scatters to a stored row."""
     fixed = reads.consts.repeat(len(rows), axis=1)
     for j, net in reads.inputs:
         fixed[j] = columns[net][rows]
     for j, owner, row in reads.owned:
-        table, entry, inverse = hits[owner]
-        fixed[j] = table.values[row, entry[inverse[rows]]]
+        table, entry, view = hits[owner]
+        fixed[j] = table.values[row, entry[view.cmap[view.part.inverse[rows]]]]
     return fixed
 
 
@@ -618,9 +773,25 @@ def solve_dc_batch(
     the result.  A unit reads its fixed values from constants (supplies),
     from the caller's input columns, and from the class table of the unit
     that owns each of its gate nets, through that unit's table entries and
-    each row's entry; a keyed net keeps each row's rank.  Ranks and entries
-    are uint8 or uint16 where the counts allow, and each is dropped after
-    the last unit that reads it.
+    each row's entry.
+
+    Row classes come from partitions of the rows: each input's distinct
+    values, in order of their first row, and the distinct key tuples of a
+    unit whose keys lie on more than one partition, found in one pass over
+    the rows.  A keyed net is a view of a partition: its class of each
+    partition class, ranked from the unit's table values, so it never
+    touches the rows.  A unit combines its keys on the classes of one
+    partition when that partition is finer than all of them (a partition
+    is finer than those it was joined from whole, and than the keys it was
+    joined from), and joins partitions over the rows otherwise.  The first
+    row of each class stands for it: ``-0.0`` and ``0.0`` are one value and
+    so is every NaN, and the row that comes first gives the bits.  Classes
+    and entries are uint8 or uint16 where the counts allow.  A view and a
+    unit's entries are dropped after the last unit that reads them, but a
+    joined partition keeps the views and partitions it was joined from:
+    on a carry chain, each stage's join keeps the previous stage's carry
+    view and partition, and with them every row-long class array down the
+    chain, until the last view on the chain is dropped.
     """
     comp = _as_compiled(nl)
     input_names = {comp.names[i] for i in comp.input_idx}
@@ -658,39 +829,55 @@ def solve_dc_batch(
             val[slot[i]] = col
     driven = ~np.isnan(val)
 
-    ranks: dict[int, tuple[np.ndarray, int]] = {}
+    # one class of every row: a supply's, a gate-only net's or a constant
+    # input's
+    single = _View(_Partition(np.zeros(min(n_vec, 1), dtype=np.intp), np.zeros(n_vec, np.uint8)))
+    views: dict[int, _View] = {}  # per keyed net
     tables: dict[int, _ClassTable] = {}
-    hits: dict[int, tuple[_ClassTable, np.ndarray, np.ndarray]] = {}  # per unit
+    hits: dict[int, tuple[_ClassTable, np.ndarray, _View]] = {}  # per unit
     redo = np.zeros(n_vec, dtype=bool)
     unit_rows = slot[plan.rows]
-    for u, (unit, cls, reads, (start, stop)) in enumerate(
-        zip(plan.units, plan.classes, plan.reads, plan.spans)
+    for u, (unit, cls, reads, (start, _)) in enumerate(
+        zip(plan.units, plan.classes, plan.reads, plan.spans) if n_vec else ()
     ):
+        keys = []
         for net in unit.keys:
-            if net not in ranks:
+            view = views.get(net)
+            if view is None:
                 # an input's column, or a gate-only net's: NaN throughout
-                column = columns[net] if net in columns else np.full(n_vec, np.nan)
-                ranks[net] = _rank(column)
-        first, inverse = _distinct_rows([ranks[net] for net in unit.keys], n_vec)
-        table = tables.setdefault(cls, _ClassTable(len(unit.nets)))
-        entry = table.lookup(unit, _fixed(reads, columns, first, hits))
-        hits[u] = table, entry, inverse
+                view = views[net] = (
+                    _View(_Partition(*_rank(columns[net]))) if net in columns else single
+                )
+            if len(view.firsts) > 1:
+                keys.append(view)
+        view = _unit_view(keys, n_vec) if keys else single
+        part, cmap, firsts = view.part, view.cmap, view.firsts
+        table = tables.get(cls)
+        if table is None:
+            table = tables[cls] = _ClassTable(len(unit.nets))
+        entry = table.lookup(unit, _fixed(reads, columns, part.first[firsts], hits))
+        hits[u] = table, entry, view
         values = table.values[:, entry]
         own_rows = unit_rows[start : start + len(unit.nets)]
         kept = own_rows >= 0
         if kept.any():
-            val[own_rows[kept]] = values[kept].take(inverse, axis=1)
+            val[own_rows[kept]] = values[kept][:, cmap].take(part.inverse, axis=1)
             hit_driven = table.driven[kept][:, entry]
-            driven[own_rows[kept]] = True if hit_driven.all() else hit_driven.take(inverse, axis=1)
+            driven[own_rows[kept]] = (
+                True if hit_driven.all() else hit_driven[:, cmap].take(part.inverse, axis=1)
+            )
         hit_redo = table.redo[entry]
         if hit_redo.any():
-            redo |= hit_redo.take(inverse)
+            redo |= hit_redo[cmap].take(part.inverse)
         for row, net in enumerate(unit.nets.tolist()):
             if net in plan.keyed:
-                rank, classes = _rank(values[row])
-                ranks[net] = rank.take(inverse), classes
+                if len(firsts) == 1:
+                    views[net] = view
+                    continue
+                net_firsts, net_cmap = _rank(values[row])
+                views[net] = _View(part, net_cmap.take(cmap), firsts[net_firsts])
         for net in plan.last_keys[u]:
-            del ranks[net]
+            del views[net]
         for owner in plan.last_reads[u]:
             del hits[owner]
 
@@ -698,9 +885,10 @@ def solve_dc_batch(
     nonconverged = np.zeros(n_vec, dtype=bool)
     if redo.any():
         rows = np.flatnonzero(redo)
-        whole = plan.whole
+        whole = comp.whole
+        reads = _make_reads(comp, whole.ext, set(comp.input_idx), {})
         values, own_driven, _, conflict[rows], nonconverged[rows] = _relax(
-            whole, _fixed(plan.reads[-1], columns, rows, {})
+            whole, _fixed(reads, columns, rows, {})
         )
         own_rows = slot[whole.nets]
         kept = own_rows >= 0
@@ -744,11 +932,11 @@ def _conflict_groups(
     rows = np.flatnonzero(batch.conflict).tolist()
     if not rows:
         return {}
-    whole = comp.ccr_plan.whole
+    whole = comp.whole
     table = np.concatenate([whole.nets, whole.ext])
     val = batch.values[np.ix_(rows, table)].T
     label = np.repeat(table.astype(np.float64)[:, None], len(rows), axis=1)
-    root, _ = _components(whole, _conduction(whole, val), label, label)
+    root = _components(whole, _conduction(whole, val), label)
     sources = [
         t for t, net in enumerate(table.tolist())
         if net in comp.supply_v or net in comp.input_idx
@@ -785,7 +973,7 @@ def _dc_state(
 def _no_fixed_point(comp: CompiledNetlist) -> str:
     return (
         f"{comp.netlist.name!r} did not reach a conduction fixed point "
-        f"within {comp.ccr_plan.whole.cap} sweeps"
+        f"within {comp.whole.cap} sweeps"
     )
 
 

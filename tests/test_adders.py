@@ -282,7 +282,8 @@ def test_exhaustive_columns_drive_the_input_map_levels(single_stage_designs):
     # at 3 * (0.9 / 3) == 0.8999999999999999
     for design in [*single_stage_designs, *map(build_cpa, _COMPARE_CONFIGS)]:
         n_vec = 2 * (design.radix**design.digits) ** 2
-        columns = adders._exhaustive_columns(design, range(n_vec))
+        operands = adders._exhaustive_operands(design, range(n_vec))
+        columns = adders._exhaustive_columns(design, operands)
         maps = design.input_maps()
         assert set(columns) == set(maps)
         for port, column in columns.items():
@@ -340,6 +341,15 @@ def test_verify_memory_follows_the_chunk_not_the_width():
     report, peak5 = _verify_peak(build_cpa(CpaConfig(AdderVariant.TFA2, 5, CarrySwing.FULL)))
     assert report.ok and report.vectors == 118_098
     assert peak5 <= 2 * peak4
+
+
+def test_designs_hash_and_compare_by_identity():
+    tfa2 = build_full_adder(AdderVariant.TFA2)
+    again = build_full_adder(AdderVariant.TFA2)
+    cpa = build_cpa(CpaConfig(AdderVariant.TFA2, 2, CarrySwing.FULL))
+    designs = {tfa2, again, cpa, tfa2, replace(cpa)}
+    assert len(designs) == 4
+    assert tfa2 in designs and tfa2 != again and tfa2.label == again.label
 
 
 def test_area_additivity():

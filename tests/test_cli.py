@@ -408,6 +408,22 @@ def test_run_rejects_non_finite_input_voltage(tmp_path, volts):
     assert "'a' needs a finite voltage" in err
 
 
+@pytest.mark.parametrize("level", ["x", "V", "1.5", "5", "-1", "1e400V"])
+def test_run_names_the_input_and_its_forms_for_a_bad_level(tmp_path, level):
+    f = tmp_path / "inv.net"
+    f.write_text(
+        "SUPPLY vdd 0.9\nSUPPLY gnd 0\nINPUT a 2\nOUTPUT y 2\n"
+        "DEVICE P n=19 g=a s=vdd d=y\nDEVICE N n=19 g=a s=gnd d=y\n"
+    )
+    status, out, err = run_cli(["run", str(f), "--inputs", f"a={level}"])
+    assert status == ExitStatus.BAD_REQUEST
+    assert out == ""
+    assert err == (
+        "input 'a' needs a finite voltage with a V suffix or a digit from 0 to 1, "
+        f"got {level!r}\n"
+    )
+
+
 def test_run_reduced_carry_scale_annotation(tmp_path):
     import subprocess, sys
 

@@ -133,11 +133,15 @@ def _plain_decode(vmap, volts):
 def test_array_and_scalar_decode_agree(radix, vdd):
     vmap = VoltageMap(vdd, radix)
     band = FULL_SWING_BAND * vdd
-    probes = [math.nan, math.inf, -math.inf]
+    probes = [math.nan, math.inf, -math.inf, -0.0]
     for level in vmap.levels:
         for edge, outward in ((level - band, -math.inf), (level + band, math.inf)):
             probes += [edge, np.nextafter(edge, level), np.nextafter(edge, outward)]
         probes.append(level)
+    # between two levels, where the lower one wins a tie
+    for low, high in zip(vmap.levels, vmap.levels[1:]):
+        mid = (low + high) / 2
+        probes += [mid, np.nextafter(mid, low), np.nextafter(mid, high)]
     digits, in_band = vmap.decode_array(np.array(probes))
     assert in_band.any() and not in_band.all()
     for volts, digit, ok in zip(probes, digits.tolist(), in_band.tolist()):

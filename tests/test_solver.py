@@ -5,6 +5,7 @@ import math
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from mvladders.device import Polarity
 from mvladders.gates import GateKind, build
 from mvladders.logic import VoltageMap
+from mvladders import solver
 from mvladders.netlist import NetlistBuilder, parse, serialize
 from mvladders.solver import (
     Conflict,
@@ -296,7 +298,7 @@ def test_comparison_cpas_share_few_unit_classes():
         for first, *others in members.values():
             for unit in others:
                 assert (len(unit.nets), len(unit.ext)) == (len(first.nets), len(first.ext))
-                for name in ("g", "s", "d", "is_n", "vth"):
+                for name in ("gsd", "is_n", "vth"):
                     assert np.array_equal(getattr(unit, name), getattr(first, name)), name
 
 
@@ -638,18 +640,24 @@ def test_ccr_plan_orders_dependencies_first():
         assert not solved & set(unit.nets)
         assert all(k in solved or k in sources for k in unit.keys)
         solved |= set(unit.nets.tolist())
-    assert solved == set(comp.ccr_plan.whole.nets.tolist())
+    assert solved == set(comp.whole.nets.tolist())
+
+
+def _first_seen_reference(keys):
+    # a dict of keys: each key's class, classes numbered in order of their
+    # first index, and the first index of each class
+    first: dict = {}
+    for row, key in enumerate(keys):
+        first.setdefault(key, row)
+    order = {key: i for i, key in enumerate(first)}
+    return [order[key] for key in keys], list(first.values())
 
 
 def _reference_distinct_rows(columns, n_rows):
-    # a dict of rank tuples: first rows, tuples in ascending (mixed-radix
-    # code, that is lexicographic) order, and each row's tuple
+    # the first row of each distinct tuple of ranks, and each row's tuple
     tuples = [tuple(int(rank[row]) for rank, _ in columns) for row in range(n_rows)]
-    first: dict[tuple, int] = {}
-    for row, key in enumerate(tuples):
-        first.setdefault(key, row)
-    order = {key: i for i, key in enumerate(sorted(first))}
-    return [first[key] for key in sorted(first)], [order[key] for key in tuples]
+    inverse, first = _first_seen_reference(tuples)
+    return first, inverse
 
 
 @st.composite
@@ -678,8 +686,82 @@ _NARROW = [(np.array([3, 0, 2, 1], dtype=np.uint8), 255)] * 7 + [(np.zeros(4, np
 @example((_NARROW, 4))
 def test_distinct_rows_match_plain_reference(case):
     columns, n_rows = case
-    first, inverse = _distinct_rows(columns, n_rows)
-    assert (first.tolist(), inverse.tolist()) == _reference_distinct_rows(columns, n_rows)
+    expected = _reference_distinct_rows(columns, n_rows)
+    # rows compared as tuples, and rows coded in mixed radix
+    for few_rows in (solver._FEW_ROWS, 0):
+        with mock.patch.object(solver, "_FEW_ROWS", few_rows):
+            first, inverse = _distinct_rows(columns, n_rows)
+        assert (first.tolist(), inverse.tolist()) == expected, few_rows
+
+
+_NAN2 = np.array([0x7FF8000000000002], dtype=np.uint64).view(np.float64)[0]
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.sampled_from([0.0, -0.0, 0.45, 0.9, math.nan, _NAN2, math.inf]) | st.floats()),
+)
+def test_ranks_match_plain_reference(values):
+    # -0.0 and 0.0 are one class, and so is every NaN; classes are numbered
+    # in order of their first index, by a dict and by a binary search
+    keys = [None if math.isnan(v) else v for v in values]
+    inverse, first = _first_seen_reference(keys)
+    for few_rows in (solver._FEW_ROWS, 0):
+        with mock.patch.object(solver, "_FEW_ROWS", few_rows):
+            got_first, got_inverse = solver._rank(np.array(values, dtype=np.float64))
+        assert (got_first.tolist(), got_inverse.tolist()) == (first, inverse), few_rows
+
+
+def _view_rows(view):
+    """Each row's class in a view, and the first row of each class."""
+    return view.cmap[view.part.inverse].tolist(), view.part.first[view.firsts].tolist()
+
+
+@st.composite
+def _unit_chains(draw):
+    # input columns, then units that each key on some of the views so far
+    # and hand on views of their own nets: a function of the unit's classes
+    n_rows = draw(st.integers(1, 90))
+    levels = st.sampled_from([0.0, -0.0, 0.45, 0.9, math.nan])
+    inputs = [
+        draw(st.lists(levels, min_size=n_rows, max_size=n_rows))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    units = []
+    for _ in range(draw(st.integers(1, 5))):
+        picks = draw(st.lists(st.integers(0, 99), min_size=1, max_size=5))
+        nets = draw(st.lists(st.lists(st.integers(0, 2), min_size=8, max_size=8), max_size=3))
+        units.append((picks, nets))
+    return n_rows, inputs, units
+
+
+@settings(max_examples=150)
+@given(_unit_chains())
+def test_unit_views_match_plain_reference(chain):
+    # keys on one partition, on several, and on a partition finer than
+    # the others give the classes of the rows' key tuples, and the first
+    # row of each
+    n_rows, inputs, units = chain
+    for few_rows in (solver._FEW_ROWS, 0):
+        with mock.patch.object(solver, "_FEW_ROWS", few_rows):
+            views = [solver._View(solver._Partition(*solver._rank(np.array(c)))) for c in inputs]
+            for picks, nets in units:
+                keys = [views[i % len(views)] for i in picks]
+                keys = [key for key in keys if len(key.firsts) > 1]
+                if not keys:
+                    continue
+                view = solver._unit_view(keys, n_rows)
+                tuples = list(zip(*(_view_rows(key)[0] for key in keys)))
+                assert _view_rows(view) == _first_seen_reference(tuples)
+                classes = _view_rows(view)[0]
+                for net in nets:
+                    values = np.array([net[c % 8] for c in range(len(view.firsts))], dtype=float)
+                    net_firsts, net_cmap = solver._rank(values)
+                    firsts = view.firsts[net_firsts]
+                    own = solver._View(view.part, net_cmap.take(view.cmap), firsts)
+                    expected = _first_seen_reference([net[c % 8] for c in classes])
+                    assert _view_rows(own) == expected
+                    views.append(own)
 
 
 def _batch_digest(batch) -> str:
@@ -707,9 +789,10 @@ def _representative_rows_batch():
 def _all_columns(design) -> dict[str, np.ndarray]:
     """The input columns of every vector of the design's exhaustive
     verification."""
-    from mvladders.adders import _exhaustive_columns
+    from mvladders.adders import _exhaustive_columns, _exhaustive_operands
 
-    return _exhaustive_columns(design, range(2 * (design.radix**design.digits) ** 2))
+    vectors = range(2 * (design.radix**design.digits) ** 2)
+    return _exhaustive_columns(design, _exhaustive_operands(design, vectors))
 
 
 def test_batch_results_match_recorded_digests(single_stage_designs):
