@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -573,6 +574,22 @@ def _exhaustive_columns(
     return columns
 
 
+def _exhaustive_vectors(radix: int, digits: int) -> int:
+    """2 * radix^(2 * digits), the vectors of exhaustive verification; more
+    than ``_MAX_VERIFY_VECTORS`` is a ValueError, which names a count too
+    long for int-to-str as a power, not computed."""
+    limit = sys.int_info.default_max_str_digits  # decimal digits int-to-str converts
+    big = digits > 1 << 16 or math.log10(2) + 2 * digits * math.log10(radix) >= limit
+    n_vec = math.inf if big else 2 * radix ** (2 * digits)
+    if n_vec > _MAX_VERIFY_VECTORS:
+        count = f"2 x {radix}^{2 * digits}" if big else f"{n_vec:,}"
+        raise ValueError(
+            f"exhaustive verification of {count} vectors exceeds the bound of "
+            f"{_MAX_VERIFY_VECTORS:,} vectors"
+        )
+    return n_vec
+
+
 def verify_design(design: Design) -> VerifyReport:
     """Drive every (A, B, carry-in) combination through the design's ports,
     at the levels of its input maps, and check the addition identity
@@ -591,13 +608,8 @@ def verify_design(design: Design) -> VerifyReport:
     built.
     """
     radix, digits = design.radix, design.digits
+    n_vec = _exhaustive_vectors(radix, digits)
     span = radix**digits
-    n_vec = span * span * 2
-    if n_vec > _MAX_VERIFY_VECTORS:
-        raise ValueError(
-            f"exhaustive verification of {n_vec:,} vectors exceeds the bound of "
-            f"{_MAX_VERIFY_VECTORS:,} vectors"
-        )
     comp = design.compiled
     outputs = (*design.s_ports, design.cout_port)
     out_maps = design.output_maps()

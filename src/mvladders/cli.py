@@ -26,6 +26,7 @@ from .adders import (
     CpaConfig,
     Design,
     VerifyReport,
+    _exhaustive_vectors,
     build_cpa,
     build_full_adder,
     verify_design,
@@ -62,6 +63,17 @@ class SpecError(ValueError):
 
 def parse_design_spec(spec: str) -> Design:
     """Build the design named by a spec string."""
+    variant, swing, vdd, digits = _parse_spec(spec)
+    try:
+        if digits == 1:
+            return build_full_adder(variant, swing, vdd)
+        return build_cpa(CpaConfig(variant, digits, swing or variant.default_swing, vdd))
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
+
+
+def _parse_spec(spec: str) -> tuple[AdderVariant, CarrySwing | None, float, int]:
+    """The variant, carry swing (None: the default), vdd and digits of a spec."""
     parts = [p.strip() for p in spec.split(",") if p.strip()]
     if not parts:
         raise SpecError("empty design spec")
@@ -98,12 +110,7 @@ def parse_design_spec(spec: str) -> Design:
                 raise SpecError(f"malformed digits {value!r}") from None
         else:
             raise SpecError(f"unknown design-spec key {key!r}")
-    try:
-        if digits == 1:
-            return build_full_adder(variant, swing, vdd)
-        return build_cpa(CpaConfig(variant, digits, swing or variant.default_swing, vdd))
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
+    return variant, swing, vdd, digits
 
 
 def _check_loads(loads: Sequence[float]) -> None:
@@ -114,10 +121,14 @@ def _check_loads(loads: Sequence[float]) -> None:
             raise SpecError(f"--cl must be a finite load >= 0 fF, got {cl:g}")
 
 
-def _verify(design: Design):
-    """verify_design, with a request it refuses (too large) as a usage error."""
+def _verify(spec: str) -> tuple[Design, VerifyReport]:
+    """The design a spec names and its verify_design report, with a request
+    it refuses (too large) as a usage error, refused before it is built."""
+    variant, _, _, digits = _parse_spec(spec)
     try:
-        return verify_design(design)
+        _exhaustive_vectors(variant.radix, digits)
+        design = parse_design_spec(spec)
+        return design, verify_design(design)
     except ValueError as exc:
         raise SpecError(str(exc)) from None
 
@@ -139,14 +150,12 @@ def _print_verify(report) -> ExitStatus:
 
 
 def _cmd_verify(args) -> ExitStatus:
-    design = parse_design_spec(args.design)
-    return _print_verify(_verify(design))
+    return _print_verify(_verify(args.design)[1])
 
 
 def _cmd_bench(args) -> ExitStatus:
     _check_loads([args.cl])
-    design = parse_design_spec(args.design)
-    report = _verify(design)
+    design, report = _verify(args.design)
     if not report.ok:
         return _print_verify(report)
     model = TimingModel.default()
@@ -159,8 +168,7 @@ def _cmd_bench(args) -> ExitStatus:
 
 def _cmd_sweep(args) -> ExitStatus:
     _check_loads(args.cl)
-    design = parse_design_spec(args.design)
-    report = _verify(design)
+    design, report = _verify(args.design)
     if not report.ok:
         return _print_verify(report)
     model = TimingModel.default()

@@ -248,15 +248,14 @@ class _CcrPlan:
 
     Units of one structural class have equal own and fixed row counts and
     equal device rows, polarities and thresholds, so :func:`_relax` gives
-    them the same bits on the same fixed column.  The timing layer plans
+    them the same bits on the same fixed column.  :func:`solve_dc_batch`
+    keeps a view of each ``keyed`` net, and each unit's entries, for the
+    whole call, as it keeps the class tables.  The timing layer plans
     settling per unit on ``unit_of``, ``edge``, ``rows`` and ``spans``."""
 
     units: tuple[_Unit, ...]
     classes: tuple[int, ...]  # structural class of each unit
     reads: tuple[_Reads, ...]  # of each unit
-    # per unit: the keyed nets and the units whose tables no later unit reads
-    last_keys: tuple[tuple[int, ...], ...]
-    last_reads: tuple[tuple[int, ...], ...]
     keyed: frozenset[int]   # nets some unit takes as a key column
     is_source: np.ndarray   # [nets] supplies and inputs
     unit_of: dict[int, int]  # the unit owning each own net of some unit
@@ -421,22 +420,11 @@ def _build_plan(comp: CompiledNetlist) -> _CcrPlan:
     }
     inputs = set(comp.input_idx)
     reads = tuple(_make_reads(comp, unit.ext, inputs, owner_of) for unit in units)
-    last_key = {net: u for u, unit in enumerate(units) for net in unit.keys}
-    last_read = {u: u for u in range(len(units))}
-    last_read.update((owner, u) for u, r in enumerate(reads) for _, owner, _ in r.owned)
-    last_keys: list[list[int]] = [[] for _ in units]
-    last_reads: list[list[int]] = [[] for _ in units]
-    for net, u in last_key.items():
-        last_keys[u].append(net)
-    for owner, u in last_read.items():
-        last_reads[u].append(owner)
     return _CcrPlan(
         units=units,
         classes=classes,
         reads=reads,
-        last_keys=tuple(map(tuple, last_keys)),
-        last_reads=tuple(map(tuple, last_reads)),
-        keyed=frozenset(last_key),
+        keyed=frozenset(net for unit in units for net in unit.keys),
         is_source=np.isin(np.arange(comp.n_nets), list(sources)),
         unit_of={net: u for net, (u, _) in owner_of.items()},
         edge=np.asarray(edge, dtype=np.intp),
@@ -552,16 +540,6 @@ def _first_seen(keys: Iterable[object]) -> tuple[np.ndarray, np.ndarray]:
     return np.array(first, dtype=np.intp), np.array(inverse, dtype=_index_type(len(first)))
 
 
-def _in_first_order(first: np.ndarray, inverse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Renumber classes so that they are in order of their first index."""
-    if not (first[1:] < first[:-1]).any():
-        return first, inverse
-    order = np.argsort(first)
-    label = np.empty(len(first), dtype=_index_type(len(first)))
-    label[order] = np.arange(len(first))
-    return first[order], label.take(inverse)
-
-
 def _rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Classes of equal values in order of their first index (NaN is one
     class, and so are -0.0 and 0.0): the first index of each class and each
@@ -571,7 +549,7 @@ def _rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(values) <= _FEW_ROWS:
         # -0.0 == 0.0 with one hash; every NaN becomes None
         return _first_seen(v if v == v else None for v in values.tolist())
-    # not np.unique(values): on first use it imports numpy.ma, about 1 MB
+    # not numpy's unique(): on first use it imports numpy.ma, about 1 MB
     ordered = np.sort(values)
     # NaN sorts last, and every NaN is one level
     new = ordered[1:] != ordered[:-1]
@@ -580,36 +558,27 @@ def _rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _distinct_rows([(np.searchsorted(levels, values), len(levels))], len(values))
 
 
-_CODE_LIMIT = 1 << 62
-
-
 def _distinct_rows(
     columns: Sequence[tuple[np.ndarray, int]], n_rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """First row of each distinct tuple of ranked columns, tuples in order
     of their first row, and each row's tuple, narrowed.  A few rows are
     compared as tuples.  Otherwise ranks combine in mixed radix, in the
-    narrowest type that holds every code, re-ranked before a code could
-    overflow int64; a span of at most ``n_rows`` codes is counted densely,
-    without a sort."""
+    narrowest type that holds the code, and the code's values are counted
+    densely, without a sort.  A code that spans more values than there are
+    rows is ranked (:func:`_rank`) as it grows, so it spans at most
+    ``n_rows`` values between columns."""
     if n_rows <= _FEW_ROWS:
         if not columns:
             return _first_seen([()] * n_rows)
         return _first_seen(zip(*(rank.tolist() for rank, _ in columns)))
-    span = math.prod(classes for _, classes in columns)
-    narrow = span <= np.iinfo(np.uint32).max
-    code = np.zeros(n_rows, dtype=np.min_scalar_type(span) if narrow else np.int64)
-    span = 1
+    code, span = np.zeros(n_rows, dtype=np.uint8), 1
     for rank, classes in columns:
-        if span * classes > _CODE_LIMIT:
-            first, rank_of_code = _rank(code)
-            # a narrowed code would wrap in the products below
-            code, span = rank_of_code.astype(np.int64), len(first)
-        code = code * code.dtype.type(classes) + rank
         span *= classes
-    if span > n_rows:
-        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        return _in_first_order(first, inverse.astype(_index_type(len(first))))
+        code = code.astype(np.min_scalar_type(span), copy=False) * classes + rank
+        if span > n_rows:
+            first, code = _rank(code)
+            span = len(first)
     first = np.full(span, n_rows)
     np.minimum.at(first, code, np.arange(n_rows))
     present = np.flatnonzero(first < n_rows)
@@ -786,12 +755,9 @@ def solve_dc_batch(
     joined from), and joins partitions over the rows otherwise.  The first
     row of each class stands for it: ``-0.0`` and ``0.0`` are one value and
     so is every NaN, and the row that comes first gives the bits.  Classes
-    and entries are uint8 or uint16 where the counts allow.  A view and a
-    unit's entries are dropped after the last unit that reads them, but a
-    joined partition keeps the views and partitions it was joined from:
-    on a carry chain, each stage's join keeps the previous stage's carry
-    view and partition, and with them every row-long class array down the
-    chain, until the last view on the chain is dropped.
+    and entries are uint8 or uint16 where the counts allow.  Views,
+    partitions and entries live for the whole call, as the class tables
+    do: on a carry chain, every row-long class array down the chain.
     """
     comp = _as_compiled(nl)
     input_names = {comp.names[i] for i in comp.input_idx}
@@ -829,10 +795,10 @@ def solve_dc_batch(
             val[slot[i]] = col
     driven = ~np.isnan(val)
 
-    # one class of every row: a supply's, a gate-only net's or a constant
-    # input's
+    # one class of every row: a supply's, a gate-only net's, a constant input's
     single = _View(_Partition(np.zeros(min(n_vec, 1), dtype=np.intp), np.zeros(n_vec, np.uint8)))
-    views: dict[int, _View] = {}  # per keyed net
+    # per keyed net: an input's classes, then those of each unit's own nets
+    views = {n: _View(_Partition(*_rank(c))) for n, c in columns.items() if n in plan.keyed}
     tables: dict[int, _ClassTable] = {}
     hits: dict[int, tuple[_ClassTable, np.ndarray, _View]] = {}  # per unit
     redo = np.zeros(n_vec, dtype=bool)
@@ -840,16 +806,8 @@ def solve_dc_batch(
     for u, (unit, cls, reads, (start, _)) in enumerate(
         zip(plan.units, plan.classes, plan.reads, plan.spans) if n_vec else ()
     ):
-        keys = []
-        for net in unit.keys:
-            view = views.get(net)
-            if view is None:
-                # an input's column, or a gate-only net's: NaN throughout
-                view = views[net] = (
-                    _View(_Partition(*_rank(columns[net]))) if net in columns else single
-                )
-            if len(view.firsts) > 1:
-                keys.append(view)
+        # a net without a view is a gate-only net's: NaN throughout
+        keys = [views[net] for net in unit.keys if len(views.get(net, single).firsts) > 1]
         view = _unit_view(keys, n_vec) if keys else single
         part, cmap, firsts = view.part, view.cmap, view.firsts
         table = tables.get(cls)
@@ -871,15 +829,8 @@ def solve_dc_batch(
             redo |= hit_redo[cmap].take(part.inverse)
         for row, net in enumerate(unit.nets.tolist()):
             if net in plan.keyed:
-                if len(firsts) == 1:
-                    views[net] = view
-                    continue
                 net_firsts, net_cmap = _rank(values[row])
                 views[net] = _View(part, net_cmap.take(cmap), firsts[net_firsts])
-        for net in plan.last_keys[u]:
-            del views[net]
-        for owner in plan.last_reads[u]:
-            del hits[owner]
 
     conflict = np.zeros(n_vec, dtype=bool)
     nonconverged = np.zeros(n_vec, dtype=bool)

@@ -100,6 +100,19 @@ def test_verify_refuses_a_64_digit_cpa_at_once():
     assert err.endswith(" vectors exceeds the bound of 4,194,304 vectors\n")
 
 
+@pytest.mark.parametrize("command", ["verify", "bench", "sweep"])
+def test_oversize_spec_is_refused_before_it_is_built(monkeypatch, command):
+    # 2 x 2^18000 vectors: more decimal digits than int-to-str prints
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_cpa reached")
+
+    monkeypatch.setattr(cli, "build_cpa", no_build)
+    status, out, err = run_cli([command, "bfa1,digits=9000"])
+    assert status == ExitStatus.BAD_REQUEST
+    assert out == ""
+    assert "4,194,304" in err and "integer string conversion" not in err
+
+
 def test_bench_csv_and_label():
     status, out, _ = run_cli(["bench", "bfa2", "--cl", "2"])
     assert status == ExitStatus.OK

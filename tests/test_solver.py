@@ -19,7 +19,6 @@ from mvladders.netlist import NetlistBuilder, parse, serialize
 from mvladders.solver import (
     Conflict,
     DcState,
-    _CODE_LIMIT,
     BatchResult,
     _distinct_rows,
     NonConvergenceError,
@@ -349,8 +348,17 @@ def _random_cases(draw):
     return nl, columns
 
 
+def _tgate_distinct_voltages():
+    # one unit keyed on three inputs of 100 classes each: joined, their
+    # codes span 10^6 values, more than there are rows
+    rng = np.random.default_rng(26)
+    columns = {name: rng.uniform(0.0, 0.9, 100) for name in ("d", "en", "enb")}
+    return build(GateKind("TGate")), columns
+
+
 @settings(max_examples=150)
 @given(_random_cases())
+@example(_tgate_distinct_voltages())
 def test_batch_matches_reference_on_random_netlists(case):
     _assert_batch_matches_scalar(*case)
 
@@ -671,9 +679,10 @@ def _ranked_columns(draw):
     return columns, n_rows
 
 
-_WIDE = [(np.array([5, 0, 5, 2]) << 28, _CODE_LIMIT >> 30)] * 3  # re-ranked after two
-# uint8 ranks, as the solver keeps them, re-ranked before the eighth column:
-# a uint8 code times 255 would wrap and reorder the rows
+# 2^96 codes without a re-rank: past int64
+_WIDE = [(np.array([5, 0, 5, 2]) << 28, 1 << 32)] * 3
+# uint8 ranks, as the solver keeps them: a uint8 code times 255 would wrap
+# and reorder the rows
 _NARROW = [(np.array([3, 0, 2, 1], dtype=np.uint8), 255)] * 7 + [(np.zeros(4, np.uint8), 255)]
 
 
